@@ -7,7 +7,7 @@ terms with a monic denominator, which makes equality a plain comparison.
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, NotPolynomial, PoleAtPoint
+from .errors import DivisionByZero, InexactDivision, NotPolynomial, PoleAtPoint
 
 __all__ = [
     "AlphaPoly", "RatFunc", "ALPHA", "ONE",
@@ -145,7 +145,8 @@ class AlphaPoly:
     def exact_div(self, other):
         """Quotient when the division is known to be exact."""
         q, r = divmod(self, other)
-        assert r.is_zero, "division was not exact"
+        if not r.is_zero:
+            raise InexactDivision("division leaves the remainder %s" % r.to_text())
         return q
 
     def monic(self):
@@ -264,10 +265,11 @@ class RatFunc:
         if num.is_zero:
             self.num, self.den = AlphaPoly(), ONE
             return
-        g = poly_gcd(num, den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
+        if den.degree > 0:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num = num.exact_div(g)
+                den = den.exact_div(g)
         lead = den.leading
         if lead != 1:
             num = num * (1 / lead)
@@ -299,6 +301,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.is_polynomial and o.is_polynomial:
+            return RatFunc(self.num + o.num, ONE)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -322,6 +326,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.is_polynomial and o.is_polynomial:
+            return RatFunc(self.num * o.num, ONE)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__

@@ -21,8 +21,8 @@ from .connection import (
     verify_i_independence, verify_thm_rec,
 )
 from .errors import (
-    DegreeMismatch, DegreeTooLarge, IoError, MissingPart, UnknownSuite,
-    UnsupportedFormat,
+    BadConfig, DegreeMismatch, DegreeTooLarge, IoError, MissingPart,
+    UnknownSuite, UnsupportedFormat,
 )
 from .jack import inner_product, jack_table
 from .matchings import counting_recurrence_check, enumerate_good, good_matchings, is_bipartite
@@ -461,8 +461,8 @@ def main(argv=None):
     try:
         payload, status = args.handler(args)
         emit(payload, args.format, args.out)
-    except (MissingPart, DegreeMismatch, DegreeTooLarge, UnknownSuite,
-            UnsupportedFormat, IoError) as exc:
+    except (BadConfig, MissingPart, DegreeMismatch, DegreeTooLarge,
+            UnknownSuite, UnsupportedFormat, IoError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     return status

@@ -2,7 +2,7 @@
 
 import os
 
-from .errors import DegreeTooLarge
+from .errors import BadConfig, DegreeTooLarge
 
 DEFAULT_BOUND = 8
 
@@ -12,7 +12,13 @@ def degree_bound():
     raw = os.environ.get("JACKCC_MAX_N")
     if raw is None:
         return DEFAULT_BOUND
-    return int(raw)
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise BadConfig("JACKCC_MAX_N must be a positive integer, got %r" % raw)
+    return bound
 
 
 def check_degree(n):

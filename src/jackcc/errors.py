@@ -17,12 +17,20 @@ class NotPolynomial(ValueError):
     """A rational function with a nontrivial denominator was used where a polynomial is required."""
 
 
+class InexactDivision(ArithmeticError):
+    """A polynomial division that had to be exact left a remainder."""
+
+
 class PoleAtPoint(ArithmeticError):
     """Evaluation at a point where the denominator vanishes."""
 
 
 class DegreeTooLarge(ValueError):
     """Requested degree exceeds the configured bound."""
+
+
+class BadConfig(ValueError):
+    """An environment setting has a value the package cannot use."""
 
 
 class DegenerateSystem(ArithmeticError):

@@ -1,137 +1,72 @@
-"""Jack characters via exact eigenvector computations.
+"""Jack characters via a triangular eigenvector recursion.
 
-For each partition lam of n, the expansion J_lam = sum_mu theta_mu p_mu is
-pinned down by three facts: J_lam is an eigenvector of the operator D with
-eigenvalue read off lam, its monomial expansion is dominance-triangular,
-and theta on the all-ones class equals 1.  The solver works over Q[alpha]
-with fraction-free elimination, so no rational-function arithmetic happens
-until the final back substitution.
+J_lam is the eigenvector of the operator D with eigenvalue read off lam
+whose monomial expansion is dominance-triangular: J_lam = sum c_kappa
+m_kappa over kappa <= lam, with c_lam the hook product.  D is triangular
+on the monomial basis as well, so the eigen relation read at m_kappa gives
+c_kappa from the coefficients of the partitions above it:
+
+    (e_lam - B[kappa][kappa]) c_kappa = sum_{mu > kappa} c_mu B[mu][kappa],
+
+where B is the matrix of D on the m basis.  Every c_kappa is a polynomial
+in alpha, so each step is an exact polynomial division; one back
+substitution into power sums then gives theta, with theta on [1^n] equal
+to 1.  The diagonal B[kappa][kappa] is the eigenvalue of kappa, and
+partitions sharing an eigenvalue, such as (2,2,2) and (3,1,1,1), are never
+comparable in dominance, so no gap vanishes.
 """
 
 import threading
-from functools import lru_cache
 
-from .algebra import ONE, AlphaPoly, RatFunc
+from .algebra import AlphaPoly, RatFunc
 from .config import check_degree
 from .errors import DegenerateSystem, DegreeMismatch
 from .partitions import (
     Partition, eigenvalue, generate_partitions, hooks, leq_dominance,
     z_aut_class,
 )
-from .psum import PSumVector, apply_D, p_to_m, psum_unit, transition_matrix
+from .psum import MonomialVector, PSumVector, apply_D, m_to_p, p_to_m
 
 __all__ = ["JackTable", "jack_in_p", "jack_table", "inner_product"]
 
+_ZERO = AlphaPoly()
 
-@lru_cache(maxsize=None)
-def _d_matrix(n):
-    """Matrix of D on the degree-n power-sum basis, columns in generation order.
 
-    Every entry is an AlphaPoly with integer coefficients and degree at
-    most one.
-    """
-    order = generate_partitions(n)
-    index = {mu: k for k, mu in enumerate(order)}
-    size = len(order)
-    matrix = [[AlphaPoly() for _ in range(size)] for _ in range(size)]
-    for col, mu in enumerate(order):
-        image = apply_D(psum_unit(mu))
-        for nu, c in image.terms.items():
-            entry = c.as_poly()
-            assert all(x.denominator == 1 for x in entry.coeffs)
-            matrix[index[nu]][col] = entry
+def _d_on_monomials(n):
+    """B[kappa][mu], the coefficient of m_mu in D m_kappa, as AlphaPolys."""
+    matrix = {}
+    for kappa in generate_partitions(n):
+        image = p_to_m(apply_D(m_to_p(MonomialVector(n, {kappa: 1}))))
+        matrix[kappa] = {mu: c.as_poly() for mu, c in image.terms.items()}
     return matrix
 
 
-def _echelon(rows):
-    """Fraction-free row reduction; returns the pivot column list.
-
-    One-step Bareiss: every elimination result is divided by the previous
-    pivot, and that division is exact because the entries stay minors of
-    the input matrix.  Rows below the current one are updated even when
-    their pivot-column entry is zero, otherwise later divisions break.
-    """
-    if not rows:
-        return []
-    height, width = len(rows), len(rows[0])
-    prev = ONE
-    r = 0
-    pivots = []
-    for c in range(width):
-        if r == height:
-            break
-        hit = next((i for i in range(r, height) if not rows[i][c].is_zero), None)
-        if hit is None:
-            continue
-        rows[r], rows[hit] = rows[hit], rows[r]
-        pivot = rows[r][c]
-        for i in range(r + 1, height):
-            scale = rows[i][c]
-            for j in range(width):
-                rows[i][j] = (pivot * rows[i][j] - scale * rows[r][j]).exact_div(prev)
-        prev = pivot
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def _nullspace(rows, width):
-    """Basis of the kernel, one RatFunc vector per pivot-free column."""
-    work = [list(row) for row in rows]
-    pivots = _echelon(work)
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for f in free:
-        x = [RatFunc(0)] * width
-        x[f] = RatFunc(1)
-        for r in reversed(range(len(pivots))):
-            c = pivots[r]
-            acc = RatFunc(0)
-            for j in range(c + 1, width):
-                if not x[j].is_zero and not work[r][j].is_zero:
-                    acc = acc + x[j] * work[r][j]
-            x[c] = -acc / RatFunc(work[r][c])
-        basis.append(x)
-    return basis
-
-
-def _triangularity_rows(n, lam):
-    """Readout rows forcing [m_mu] = 0 for every mu not dominated by lam."""
-    order = generate_partitions(n)
-    transition = transition_matrix(n)
-    rows = []
-    for mu in order:
-        if not leq_dominance(mu, lam):
-            rows.append([transition[nu].get(mu, 0) for nu in order])
-    return [[AlphaPoly(e) for e in row] for row in rows]
-
-
-def _solve_row(lam):
+def _solve_row(lam, matrix):
+    """Power-sum expansion of J_lam by back substitution on the m basis."""
     n = lam.n
     order = generate_partitions(n)
-    size = len(order)
     e = eigenvalue(lam)
-    shifted = [[entry - e if i == j else entry
-                for j, entry in enumerate(row)]
-               for i, row in enumerate(_d_matrix(n))]
-    kernel = _nullspace(shifted, size)
-    if len(kernel) != 1:
-        kernel = _nullspace(shifted + _triangularity_rows(n, lam), size)
-    if len(kernel) != 1:
+    coeffs = {lam: hooks(lam)[0]}
+    for kappa in order[order.index(lam) + 1:]:
+        if not leq_dominance(kappa, lam):
+            continue
+        gap = e - matrix[kappa].get(kappa, _ZERO)
+        if gap.is_zero:
+            raise DegenerateSystem("eigenvalue of %s recurs at %s"
+                                   % (lam.to_text(), kappa.to_text()))
+        total = _ZERO
+        for mu, c in coeffs.items():
+            entry = matrix[mu].get(kappa)
+            if entry is not None:
+                total = total + c * entry
+        coeffs[kappa] = total.exact_div(gap)
+    row = m_to_p(MonomialVector(n, coeffs))
+    if row.coeff(Partition([1] * n)) != RatFunc(1):
         raise DegenerateSystem(
-            "eigenspace for %s has dimension %d after triangularity cuts"
-            % (lam.to_text(), len(kernel)))
-    coords = kernel[0]
-    ones = coords[order.index(Partition([1] * n))]
-    if ones.is_zero:
+            "expansion of %s is not 1 on the all-ones class" % lam.to_text())
+    if not all(c.is_polynomial for c in row.terms.values()):
         raise DegenerateSystem(
-            "eigenvector for %s vanishes on the all-ones class" % lam.to_text())
-    row = PSumVector(n, {mu: c / ones for mu, c in zip(order, coords)})
-    expected = hooks(lam)[0]
-    if p_to_m(row).coeff(lam) != RatFunc(expected):
-        raise DegenerateSystem(
-            "normalized eigenvector for %s misses the hook product"
-            % lam.to_text())
+            "expansion of %s has a non-polynomial coefficient" % lam.to_text())
     return row
 
 
@@ -184,13 +119,9 @@ def jack_table(n):
         cached = _table_cache.get(n)
     if cached is not None:
         return cached
-    rows = {}
-    for lam in generate_partitions(n):
-        row = _solve_row(lam)
-        assert row.coeff(Partition([1] * n)) == RatFunc(1)
-        assert all(c.is_polynomial for c in row.terms.values())
-        rows[lam] = row
-    table = JackTable(n, rows)
+    matrix = _d_on_monomials(n)
+    table = JackTable(n, {lam: _solve_row(lam, matrix)
+                          for lam in generate_partitions(n)})
     with _table_lock:
         return _table_cache.setdefault(n, table)
 

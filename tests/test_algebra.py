@@ -7,7 +7,9 @@ from jackcc.algebra import (
     ALPHA, ONE, AlphaPoly, RatFunc, eval_at, poly_gcd, ratfunc_arith,
     substitute_alpha, substitute_beta,
 )
-from jackcc.errors import DivisionByZero, NotPolynomial, PoleAtPoint
+from jackcc.errors import (
+    DivisionByZero, InexactDivision, NotPolynomial, PoleAtPoint,
+)
 
 
 def test_construction_drops_leading_zeros():
@@ -39,6 +41,12 @@ def test_divmod_and_gcd():
     assert g == AlphaPoly([1, 1])
     with pytest.raises(DivisionByZero):
         divmod(num, AlphaPoly())
+
+
+def test_exact_div():
+    assert AlphaPoly([-1, 0, 1]).exact_div(AlphaPoly([1, 1])) == AlphaPoly([-1, 1])
+    with pytest.raises(InexactDivision):
+        AlphaPoly((1, 1)).exact_div(ALPHA)
 
 
 def test_shift_round_trip_to_degree_50():

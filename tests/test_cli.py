@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import jackcc
 from jackcc.cli import Table, emit, main, run_suite
 from jackcc.errors import UnknownSuite, UnsupportedFormat
 from jackcc.jack import JackTable, jack_table
@@ -167,3 +171,38 @@ def test_bad_partition_text(capsys):
     assert code == 2
     code, _ = run(capsys, ["matchings", "--lambda", "0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", ""])
+def test_bad_max_n_environment(raw, capsys, monkeypatch):
+    monkeypatch.setenv("JACKCC_MAX_N", raw)
+    assert main(["jack", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: JACKCC_MAX_N")
+    assert captured.err.count("\n") == 1
+
+
+def _python(*args):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jackcc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("JACKCC_MAX_N", None)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_checks_survive_optimized_mode():
+    probe = ("from jackcc.algebra import AlphaPoly\n"
+             "from jackcc.errors import InexactDivision\n"
+             "try:\n"
+             "    AlphaPoly((1, 1)).exact_div(AlphaPoly((0, 1)))\n"
+             "except InexactDivision:\n"
+             "    print('raised')\n")
+    done = _python("-O", "-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised\n"
+    argv = ["-m", "jackcc.cli", "jack", "--n", "4", "--format", "json"]
+    plain, optimized = _python(*argv), _python("-O", *argv)
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
+    assert json.loads(plain.stdout)["n"] == 4

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from jackcc.algebra import ALPHA, AlphaPoly, RatFunc
+from jackcc.cli import main
 from jackcc.errors import DegreeMismatch, DegreeTooLarge
 from jackcc.jack import JackTable, inner_product, jack_in_p, jack_table
 from jackcc.partitions import (
@@ -121,3 +123,26 @@ def test_alpha_one_specializes_to_power_sum_symmetrics():
     for lam in generate_partitions(4):
         ones = table.theta(lam, P([1, 1, 1, 1]))
         assert ones.eval_at(1) == 1
+
+
+# sha256 of `jackcc jack --n k --format json`, recorded from the
+# elimination solver the triangular recursion replaced; k = 7 is also the
+# digest of bench/golden/jack-n-7.json.
+TABLE_DIGESTS = {
+    1: "98278762a9bf977453868545d7544cd2b44ea7ee189ecf7d8f167456a4375326",
+    2: "bd199438d79a764657f93f6b4f5bb3feecd021dfb2b3aa2084ad0381e5747a4a",
+    3: "be38ed5d9305c68d33b9ac213e7e379a6ee7b4fab577943b922115c305ef7707",
+    4: "7af9b893ecebd1c7124eedbed7d1f31341045cd55e2329a59e9b0166e21965ed",
+    5: "f42cf3d903a14cb7a1ed18b6fdcd784c3d3206434bec115daa5c81efffea273b",
+    6: "7addfd71206760b427867a1efbb120142f7425c2d234e5367f3cde0f9619280b",
+    7: "7e80664e379bd61421d90a49b85897b5edc5ee60015bf8671de513bfba5fbff9",
+    8: "21870abf367a4eb6d9bdd3527f4d0cfcc0f4688e9ed014270e7b5cb8d60dde65",
+}
+
+
+@pytest.mark.parametrize("n", sorted(TABLE_DIGESTS))
+def test_table_json_digest(n, capsys, monkeypatch):
+    monkeypatch.delenv("JACKCC_MAX_N", raising=False)
+    assert main(["jack", "--n", str(n), "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == TABLE_DIGESTS[n]
