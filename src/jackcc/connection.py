@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 
 from .algebra import ALPHA, AlphaPoly, RatFunc, substitute_beta
 from .config import check_degree
-from .errors import DegreeMismatch
+from .errors import DegreeMismatch, NegativeOrder
 from .jack import jack_table
 from .partitions import (
     Partition, down_k, down_kl, generate_partitions, hooks, up_k, up_kl,
@@ -205,6 +205,8 @@ def _tower_with_D(l, r, n):
 
 def a_lr(lam, l, r=0):
     """Operator-route coefficient for l full cycles and r near-cycles."""
+    if l < 0 or r < 0:
+        raise NegativeOrder("need l >= 0 and r >= 0, got l=%d, r=%d" % (l, r))
     lam = _as_partition(lam)
     n = lam.n
     check_degree(n)

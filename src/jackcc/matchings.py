@@ -6,24 +6,25 @@ vertex to a hatted one.  The gray matching pairs each label with its twin;
 the black matching chains the labels of each part into a cycle.  A
 matching is good when its union with either color forms one cycle through
 all 2n vertices, and the weight statistic is defined by repeatedly
-deleting vertex 1 together with its matched partner.
+deleting vertex 1 together with its matched partner.  One deletion already
+lands on a good matching of the reduced partition, so each partition's
+weights are computed once, from the reduced partitions' weight tables.
 """
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import AlphaPoly
 from .config import check_degree
-from .errors import AdjacentPair, DegreeMismatch, NotGoodMatching
+from .errors import AdjacentPair, DegreeMismatch, NotGoodMatching, UnmatchedPair
 from .partitions import Partition, down_k, down_kl, up_kl
 
 __all__ = [
     "Matching", "LambdaGraph", "WeightedMatchingSet", "MatchingEntry",
     "build_canonical", "union_cycle_type", "is_bipartite",
     "good_matchings", "enumerate_good", "reduce", "weight",
-    "weight_distribution", "counting_recurrence_check",
+    "weight_distribution", "bipartite_count", "counting_recurrence_check",
 ]
 
 
@@ -178,32 +179,6 @@ def good_matchings(lam):
                           size) for p in out)
 
 
-def _unpruned_good(lam):
-    """Filter every perfect matching; exists to audit the pruned search."""
-    graph = build_canonical(lam)
-    size = 2 * lam.n
-    single = Partition([lam.n])
-    found = []
-
-    def grow(partner):
-        a = next((v for v in range(1, size + 1) if not partner[v]), None)
-        if a is None:
-            m = Matching(((v, partner[v]) for v in range(1, size + 1)
-                          if v < partner[v]), size)
-            if (union_cycle_type(graph.gray, m) == single
-                    and union_cycle_type(graph.black, m) == single):
-                found.append(m)
-            return
-        for v in range(a + 1, size + 1):
-            if not partner[v]:
-                partner[a], partner[v] = v, a
-                grow(partner)
-                partner[a] = partner[v] = 0
-
-    grow([0] * (size + 1))
-    return tuple(found)
-
-
 def _surgery(graph, a, v):
     """Remove a and v, rejoining their gray and black neighbours.
 
@@ -277,27 +252,64 @@ def _relabel_map(g_pairs, b_pairs, preserve):
     return mapping
 
 
+def _reduce_graph(graph, a, v):
+    """The graph half of reduce: the smaller graph, the relabeling, the tag.
+
+    It depends only on the deleted pair, so every matching that pairs a
+    with v shares it.
+    """
+    g_pairs, b_pairs, tag = _surgery(graph, a, v)
+    mapping = _relabel_map(g_pairs, b_pairs, (a % 2) != (v % 2))
+    size = len(mapping)
+    new_gray = Matching(((mapping[x], mapping[y]) for x, y in g_pairs), size)
+    new_black = Matching(((mapping[x], mapping[y]) for x, y in b_pairs), size)
+    lam2 = union_cycle_type(new_gray, new_black)
+    return LambdaGraph(lam2, new_gray, new_black), mapping, tag
+
+
 def reduce(graph, delta, a, v):
     """Delete the matched pair {a, v} and relabel what is left.
 
     Gives back the smaller graph in canonical labels, the matching carried
     along the relabeling, and the case tag of the surgery.
     """
-    assert delta.of(a) == v
-    g_pairs, b_pairs, tag = _surgery(graph, a, v)
-    preserve = (a % 2) != (v % 2)
-    mapping = _relabel_map(g_pairs, b_pairs, preserve)
-    size = len(mapping)
-    new_gray = Matching(((mapping[x], mapping[y]) for x, y in g_pairs), size)
-    new_black = Matching(((mapping[x], mapping[y]) for x, y in b_pairs), size)
-    lam2 = union_cycle_type(new_gray, new_black)
-    reduced = LambdaGraph(lam2, new_gray, new_black)
-    assert reduced == build_canonical(lam2)
-    if preserve:
-        assert all((x % 2) == (y % 2) for x, y in mapping.items())
+    if delta.of(a) != v:
+        raise UnmatchedPair("%s and %s are not paired by %s"
+                            % (_label_text(a), _label_text(v), delta.to_text()))
+    reduced, mapping, tag = _reduce_graph(graph, a, v)
     new_delta = Matching(((mapping[x], mapping[y]) for x, y in delta.pairs()
-                          if a not in (x, y) and v not in (x, y)), size)
+                          if a not in (x, y) and v not in (x, y)), len(mapping))
     return reduced, new_delta, tag
+
+
+@lru_cache(maxsize=None)
+def _weight_table(lam):
+    """The weight of every good matching of lam, keyed on its partner tuple.
+
+    Deleting vertex 1 and its partner v lands on a good matching of the
+    reduced partition, so the weight is [v unhatted] plus that matching's
+    entry in the reduced table; the single good matching of (1) weighs 0.
+    The surgery depends only on v, so it runs once per first partner.
+    """
+    goods = good_matchings(lam)
+    if lam.n == 1:
+        return {goods[0].partner: 0}
+    graph = build_canonical(lam)
+    steps = {}
+    table = {}
+    for delta in goods:
+        p = delta.partner
+        step = steps.get(p[1])
+        if step is None:
+            reduced, mapping, _ = _reduce_graph(graph, 1, p[1])
+            # old[k - 1] is the surviving vertex that gets the new label k.
+            old = sorted(mapping, key=mapping.__getitem__)
+            step = steps[p[1]] = (p[1] % 2, _weight_table(reduced.lam),
+                                  mapping, old)
+        hit, sub, mapping, old = step
+        carried = (0,) + tuple(mapping[p[x]] for x in old)
+        table[p] = hit + sub[carried]
+    return table
 
 
 def weight(lam, delta):
@@ -309,13 +321,11 @@ def weight(lam, delta):
             or union_cycle_type(graph.black, delta) != single):
         raise NotGoodMatching("matching %s is not good for %s"
                               % (delta.to_text(), lam.to_text()))
-    total = 0
-    while graph.lam != Partition([1]):
-        v = delta.of(1)
-        if v % 2 == 1:
-            total += 1
-        graph, delta, _ = reduce(graph, delta, 1, v)
-    return total
+    if lam.n == 1:
+        return 0
+    v = delta.of(1)
+    reduced, delta2, _ = reduce(graph, delta, 1, v)
+    return v % 2 + _weight_table(reduced.lam)[delta2.partner]
 
 
 class MatchingEntry(NamedTuple):
@@ -335,9 +345,13 @@ class WeightedMatchingSet(NamedTuple):
         return sum(1 for e in self.entries if e.bipartite)
 
     def distribution(self):
-        counts = Counter(e.weight for e in self.entries)
-        top = max(counts) if counts else 0
-        return AlphaPoly([counts.get(k, 0) for k in range(top + 1)])
+        return _generating_poly(e.weight for e in self.entries)
+
+
+def _generating_poly(weights):
+    counts = Counter(weights)
+    top = max(counts) if counts else 0
+    return AlphaPoly([counts.get(k, 0) for k in range(top + 1)])
 
 
 def _branch_matchings(lam, first_partner):
@@ -362,13 +376,15 @@ def enumerate_good(lam, threads=1):
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     check_degree(lam.n)
     if threads > 1 and lam.n > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = pool.map(lambda v: _branch_matchings(lam, v),
                               range(2, 2 * lam.n + 1))
         matchings = tuple(m for chunk in chunks for m in chunk)
     else:
         matchings = good_matchings(lam)
-    entries = tuple(MatchingEntry(m, weight(lam, m), is_bipartite(m))
+    table = _weight_table(lam)
+    entries = tuple(MatchingEntry(m, table[m.partner], is_bipartite(m))
                     for m in matchings)
     assert all((e.weight == 0) == e.bipartite for e in entries)
     return WeightedMatchingSet(lam, entries)
@@ -376,10 +392,13 @@ def enumerate_good(lam, threads=1):
 
 def weight_distribution(lam):
     """Generating polynomial of the weight statistic over good matchings."""
-    return enumerate_good(lam).distribution()
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    return _generating_poly(_weight_table(lam).values())
 
 
-def _bipartite_count(lam):
+@lru_cache(maxsize=None)
+def bipartite_count(lam):
+    """Number of good matchings of lam whose edges all mix parities."""
     return sum(1 for m in good_matchings(lam) if is_bipartite(m))
 
 
@@ -408,20 +427,15 @@ def counting_recurrence_check(lam, i):
             if buckets[v]:
                 return False
             continue
-        g_pairs, b_pairs, _ = _surgery(graph, root, v)
-        mapping = _relabel_map(g_pairs, b_pairs, v % 2 == 0)
-        size = len(mapping)
-        reduced = union_cycle_type(
-            Matching(((mapping[x], mapping[y]) for x, y in g_pairs), size),
-            Matching(((mapping[x], mapping[y]) for x, y in b_pairs), size))
+        reduced = _reduce_graph(graph, root, v)[0].lam
         if buckets[v] != len(good_matchings(reduced)):
             return False
-        want_bip = _bipartite_count(reduced) if v % 2 == 0 else 0
+        want_bip = bipartite_count(reduced) if v % 2 == 0 else 0
         if bip_buckets[v] != want_bip:
             return False
         total_check += buckets[v]
         bip_check += bip_buckets[v]
-    if total_check != len(goods) or bip_check != _bipartite_count(lam):
+    if total_check != len(goods) or bip_check != bipartite_count(lam):
         return False
     agg = 0
     bip_agg = 0
@@ -430,10 +444,10 @@ def counting_recurrence_check(lam, i):
     for d in range(1, part - 1):
         split = up_kl(lam, part - 1 - d, d)
         agg += len(good_matchings(split))
-        bip_agg += _bipartite_count(split)
+        bip_agg += bipartite_count(split)
     for j, other in enumerate(lam):
         if j != i - 1:
             merged = down_kl(lam, part, other)
             agg += 2 * other * len(good_matchings(merged))
-            bip_agg += other * _bipartite_count(merged)
-    return agg == len(goods) and bip_agg == _bipartite_count(lam)
+            bip_agg += other * bipartite_count(merged)
+    return agg == len(goods) and bip_agg == bipartite_count(lam)

@@ -24,7 +24,8 @@ class Partition(tuple):
 
     def __new__(cls, parts=()):
         ps = sorted((int(p) for p in parts), reverse=True)
-        assert all(p > 0 for p in ps), "parts must be positive integers"
+        if ps and ps[-1] <= 0:
+            raise MissingPart("parts must be positive integers")
         return super().__new__(cls, ps)
 
     @property

@@ -12,7 +12,7 @@ from math import comb
 
 from .algebra import ALPHA, RatFunc
 from .config import check_degree
-from .errors import DegreeMismatch
+from .errors import DegreeMismatch, NegativeOrder
 from .partitions import Partition, generate_partitions
 
 __all__ = [
@@ -263,7 +263,7 @@ def apply_Delta(l, v):
     so only l+1 summands and at most l D-applications each are needed.
     """
     if l < 0:
-        raise ValueError("negative bracket depth %d" % l)
+        raise NegativeOrder("negative bracket depth %d" % l)
     powers = [v]
     for _ in range(l):
         powers.append(apply_D(powers[-1]))

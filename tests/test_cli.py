@@ -7,7 +7,8 @@ import pytest
 
 import jackcc
 from jackcc.cli import Table, emit, main, run_suite
-from jackcc.errors import UnknownSuite, UnsupportedFormat
+from jackcc import errors
+from jackcc.errors import JackccError, UnknownSuite, UnsupportedFormat
 from jackcc.jack import JackTable, jack_table
 
 
@@ -173,6 +174,26 @@ def test_bad_partition_text(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["connect-lr", "--lambda", "3", "--l", "-1"],
+    ["connect-lr", "--lambda", "3", "--l", "2", "--r", "-1"],
+    ["connect-lr", "--lambda", "1", "--l", "-2"],
+])
+def test_negative_operator_order(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_every_package_error_is_one_family():
+    classes = [c for c in vars(errors).values()
+               if isinstance(c, type) and issubclass(c, Exception)]
+    assert len(classes) > 10
+    assert all(issubclass(c, JackccError) for c in classes)
+
+
 @pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", ""])
 def test_bad_max_n_environment(raw, capsys, monkeypatch):
     monkeypatch.setenv("JACKCC_MAX_N", raw)
@@ -206,3 +227,11 @@ def test_checks_survive_optimized_mode():
     assert plain.returncode == optimized.returncode == 0
     assert optimized.stdout == plain.stdout
     assert json.loads(plain.stdout)["n"] == 4
+
+
+def test_nonpositive_part_in_optimized_mode():
+    done = _python("-O", "-m", "jackcc.cli", "connect-nn", "--lambda", "0,2")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -2,15 +2,53 @@ import pytest
 
 from jackcc.algebra import AlphaPoly, substitute_beta
 from jackcc.connection import a_nn_recurrence
-from jackcc.errors import AdjacentPair, DegreeMismatch, NotGoodMatching
+from jackcc.errors import AdjacentPair, DegreeMismatch, NotGoodMatching, UnmatchedPair
 from jackcc.matchings import (
-    Matching, build_canonical, counting_recurrence_check, enumerate_good,
-    good_matchings, is_bipartite, reduce, union_cycle_type, weight,
-    weight_distribution, _unpruned_good,
+    Matching, bipartite_count, build_canonical, counting_recurrence_check,
+    enumerate_good, good_matchings, is_bipartite, reduce, union_cycle_type,
+    weight, weight_distribution, _reduce_graph, _weight_table,
 )
 from jackcc.partitions import Partition, generate_partitions
 
 P = Partition
+
+
+def _unpruned_good(lam):
+    """Filter every perfect matching; audits the pruned search."""
+    graph = build_canonical(lam)
+    size = 2 * lam.n
+    single = Partition([lam.n])
+    found = []
+
+    def grow(partner):
+        a = next((v for v in range(1, size + 1) if not partner[v]), None)
+        if a is None:
+            m = Matching(((v, partner[v]) for v in range(1, size + 1)
+                          if v < partner[v]), size)
+            if (union_cycle_type(graph.gray, m) == single
+                    and union_cycle_type(graph.black, m) == single):
+                found.append(m)
+            return
+        for v in range(a + 1, size + 1):
+            if not partner[v]:
+                partner[a], partner[v] = v, a
+                grow(partner)
+                partner[a] = partner[v] = 0
+
+    grow([0] * (size + 1))
+    return tuple(found)
+
+
+def _deletion_weight(lam, delta):
+    """The weight by its definition: delete vertex 1 and its partner down to (1)."""
+    graph = build_canonical(lam)
+    total = 0
+    while graph.lam != Partition([1]):
+        v = delta.of(1)
+        if v % 2 == 1:
+            total += 1
+        graph, delta, _ = reduce(graph, delta, 1, v)
+    return total
 
 
 def test_matching_basics():
@@ -75,6 +113,7 @@ def test_counts_specialize_the_recurrence():
             assert len(good_matchings(lam)) == poly(2), lam
             bip = sum(1 for m in good_matchings(lam) if is_bipartite(m))
             assert bip == poly(1), lam
+            assert bipartite_count(lam) == bip, lam
 
 
 def test_reduce_cases_on_small_graphs():
@@ -107,6 +146,28 @@ def test_reduce_rejects_adjacent():
         reduce(hexagon, delta, 1, 2)
 
 
+def test_reduce_rejects_unmatched_pair():
+    hexagon = build_canonical(P([3]))
+    delta = Matching([(1, 3), (2, 5), (4, 6)])
+    with pytest.raises(UnmatchedPair):
+        reduce(hexagon, delta, 1, 4)
+
+
+def test_every_reduction_is_canonical():
+    for n in range(2, 7):
+        for lam in generate_partitions(n):
+            graph = build_canonical(lam)
+            pairs = {(a, m.of(a)) for m in good_matchings(lam)
+                     for a in range(1, 2 * n + 1)}
+            for a, v in pairs:
+                reduced, mapping, _ = _reduce_graph(graph, a, v)
+                assert reduced == build_canonical(reduced.lam), (lam, a, v)
+                assert sorted(mapping.values()) == list(range(1, 2 * n - 1))
+                if (a % 2) != (v % 2):
+                    assert all(x % 2 == y % 2 for x, y in mapping.items()), \
+                        (lam, a, v)
+
+
 def test_reduce_preserves_goodness():
     for n in range(2, 6):
         for lam in generate_partitions(n):
@@ -128,6 +189,18 @@ def test_weight_examples():
     bad = Matching([(1, 2), (3, 4), (5, 6)])
     with pytest.raises(NotGoodMatching):
         weight(P([3]), bad)
+
+
+def test_table_weight_matches_deletion_oracle():
+    for n in range(1, 7):
+        for lam in generate_partitions(n):
+            table = _weight_table(lam)
+            goods = good_matchings(lam)
+            assert len(table) == len(goods)
+            for m in goods:
+                want = _deletion_weight(lam, m)
+                assert table[m.partner] == want, (lam, m)
+                assert weight(lam, m) == want, (lam, m)
 
 
 def test_weight_distributions():

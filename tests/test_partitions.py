@@ -14,8 +14,10 @@ def test_constructor_sorts_and_validates():
     assert Partition([1, 3, 2]) == (3, 2, 1)
     assert Partition().n == 0
     assert Partition([4, 4]).n == 8
-    with pytest.raises(AssertionError):
+    with pytest.raises(MissingPart):
         Partition([2, 0])
+    with pytest.raises(MissingPart):
+        Partition([-1])
 
 
 def test_text_round_trip():
