@@ -7,7 +7,9 @@ terms with a monic denominator, which makes equality a plain comparison.
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, InexactDivision, NotPolynomial, PoleAtPoint
+from .errors import (
+    BadExponent, DivisionByZero, InexactDivision, NotPolynomial, PoleAtPoint,
+)
 
 __all__ = [
     "AlphaPoly", "RatFunc", "ALPHA", "ONE",
@@ -110,7 +112,8 @@ class AlphaPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        assert isinstance(n, int) and n >= 0
+        if not isinstance(n, int) or n < 0:
+            raise BadExponent("exponent must be a non-negative integer, got %r" % (n,))
         out = AlphaPoly((1,))
         for _ in range(n):
             out = out * self

@@ -19,7 +19,10 @@ from .connection import (
     CoeffResult, a_cauchy, a_lr, a_nn_recurrence, generator_properties,
     verify_i_independence, verify_thm_rec,
 )
-from .errors import IoError, JackccError, MissingPart, UnknownSuite, UnsupportedFormat
+from .errors import (
+    DegreeTooLarge, IoError, JackccError, MissingPart, UnknownSuite,
+    UnsupportedFormat,
+)
 from .jack import inner_product, jack_table
 from .matchings import (
     bipartite_count, counting_recurrence_check, enumerate_good, good_matchings,
@@ -299,6 +302,8 @@ def _parse_partition(text):
 
 
 def _cmd_partitions(args):
+    if args.max_n is not None and args.n > args.max_n:
+        raise DegreeTooLarge("degree %d exceeds --max-n %d" % (args.n, args.max_n))
     rows = []
     for lam in generate_partitions(args.n):
         z, _, size = z_aut_class(lam)

@@ -9,24 +9,24 @@ argument of the package and is what the verification suites exercise.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .algebra import ALPHA, AlphaPoly, RatFunc, substitute_beta
 from .config import check_degree
-from .errors import DegreeMismatch, NegativeOrder
+from .errors import DegreeMismatch, EmptyPartition, NegativeOrder
 from .jack import jack_table
 from .partitions import (
-    Partition, down_k, down_kl, generate_partitions, hooks, up_k, up_kl,
-    z_aut_class,
+    Partition, down_k, down_kl, generate_partitions, hook_factors, up_k,
+    up_kl, z_aut_class,
 )
-from .psum import PSumVector, apply_D, apply_Delta
+from .psum import _alpha_delta, apply_D, psum_unit
 
 __all__ = [
     "CoeffResult", "a_cauchy", "a_nn_recurrence", "verify_i_independence",
-    "verify_thm_rec", "remark_identities", "a_lr", "gamma_step",
-    "generator_properties",
+    "verify_thm_rec", "remark_identities", "a_lr", "generator_properties",
 ]
 
 
@@ -47,21 +47,51 @@ def _as_partition(p):
     return p if isinstance(p, Partition) else Partition(p)
 
 
+def _linear_product(shifts):
+    out = AlphaPoly(1)
+    for s, m in sorted(shifts.items()):
+        out = out * AlphaPoly((s, 1)) ** m
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cauchy_cofactors(n):
+    """The lcm L of the j_gamma over gamma of n, and every L/j_gamma.
+
+    Each j_gamma is a constant times monic linear factors, so L takes every
+    factor to its largest multiplicity and L/j_gamma is the product of the
+    factors j_gamma leaves over, divided by its constant.
+    """
+    factored = {gamma: hook_factors(gamma) for gamma in generate_partitions(n)}
+    common = Counter()
+    for _, shifts in factored.values():
+        common |= shifts
+    cofactors = {gamma: _linear_product(common - shifts) * Fraction(1, const)
+                 for gamma, (const, shifts) in factored.items()}
+    return _linear_product(common), cofactors
+
+
 @lru_cache(maxsize=None)
 def _cauchy_cached(lam1, others):
+    """Sum every term over the common denominator L, then reduce once.
+
+    The characters are polynomials, so each term is a polynomial times its
+    cofactor L/j_gamma and the only gcd is the one of the final quotient.
+    """
     n = lam1.n
     table = jack_table(n)
-    total = RatFunc(0)
-    for gamma in generate_partitions(n):
-        product = table.theta(gamma, lam1)
+    common, cofactors = _cauchy_cofactors(n)
+    total = AlphaPoly()
+    for gamma, cofactor in cofactors.items():
+        product = table.theta(gamma, lam1).as_poly()
         for other in others:
             if product.is_zero:
                 break
-            product = product * table.theta(gamma, other)
+            product = product * table.theta(gamma, other).as_poly()
         if not product.is_zero:
-            total = total + product / RatFunc(hooks(gamma)[2])
+            total = total + product * cofactor
     z = z_aut_class(lam1)[0]
-    return total * RatFunc(AlphaPoly((0,) * len(lam1) + (z,)))
+    return RatFunc(total * AlphaPoly((0,) * len(lam1) + (z,)), common)
 
 
 def a_cauchy(lam1, others):
@@ -111,6 +141,8 @@ def a_nn_recurrence(lam):
     on that choice and verify_i_independence checks the others.
     """
     lam = _as_partition(lam)
+    if not lam:
+        raise EmptyPartition("the recurrence starts at the partition (1)")
     if lam == Partition([1]):
         return AlphaPoly(1)
     return _bracket(lam, 0, a_nn_recurrence)
@@ -140,6 +172,8 @@ def verify_thm_rec(lam, nu):
         raise DegreeMismatch(
             "expected weights n+1 and n, got %d and %d" % (lam.n, nu.n))
     n = nu.n
+    if n == 0:
+        raise EmptyPartition("the raising identity needs nu of weight at least 1")
     mults = nu.multiplicities()
     lhs = RatFunc(0)
     for value in mults:
@@ -190,10 +224,14 @@ def remark_identities(mu):
 
 @lru_cache(maxsize=None)
 def _tower(l, n):
-    """The degree-n stage of the bracket tower grown from p_1/alpha."""
+    """alpha^n times the degree-n stage of the bracket tower grown from p_1/alpha.
+
+    The factor alpha^n clears the 1/alpha of the seed and of every bracket,
+    so every coefficient stays a polynomial; a_lr divides it out once.
+    """
     if n == 1:
-        return PSumVector(1, {Partition([1]): RatFunc(1, ALPHA)})
-    return apply_Delta(l, _tower(l, n - 1))
+        return psum_unit(Partition([1]))
+    return _alpha_delta(l, _tower(l, n - 1))
 
 
 @lru_cache(maxsize=None)
@@ -209,17 +247,14 @@ def a_lr(lam, l, r=0):
         raise NegativeOrder("need l >= 0 and r >= 0, got l=%d, r=%d" % (l, r))
     lam = _as_partition(lam)
     n = lam.n
+    if n == 0:
+        raise EmptyPartition("the operator tower starts at degree 1")
     check_degree(n)
-    readout = _tower_with_D(l, r, n).coeff(lam)
+    readout = _tower_with_D(l, r, n).coeff(lam).as_poly()
     z = z_aut_class(lam)[0]
-    scale = RatFunc(AlphaPoly((0,) * len(lam) + (z,)), math.factorial(n))
-    return readout * scale
-
-
-def gamma_step(l, v):
-    """One step of the normalized tower: degree n-1 in, degree n out."""
-    n = v.degree + 1
-    return apply_Delta(l, v).scale(Fraction(1, n))
+    # readout * z alpha^len / (n! alpha^n), with alpha^len cancelled first
+    den = AlphaPoly((0,) * (n - len(lam)) + (math.factorial(n),))
+    return RatFunc(readout * z, den)
 
 
 def generator_properties(lam, l, r):

@@ -59,7 +59,15 @@ class UnmatchedPair(JackccError, ValueError):
 
 
 class NegativeOrder(JackccError, ValueError):
-    """An operator count, such as a bracket depth or a power of D, is below zero."""
+    """A weight, a bracket depth, a power of D or another count is below zero."""
+
+
+class BadExponent(JackccError, ValueError):
+    """A polynomial power was asked for with an exponent that is not a non-negative integer."""
+
+
+class EmptyPartition(JackccError, ValueError):
+    """A route that needs at least one box was given the empty partition."""
 
 
 class UnknownSuite(JackccError, ValueError):

@@ -17,7 +17,9 @@ from typing import NamedTuple
 
 from .algebra import AlphaPoly
 from .config import check_degree
-from .errors import AdjacentPair, DegreeMismatch, NotGoodMatching, UnmatchedPair
+from .errors import (
+    AdjacentPair, DegreeMismatch, EmptyPartition, NotGoodMatching, UnmatchedPair,
+)
 from .partitions import Partition, down_k, down_kl, up_kl
 
 __all__ = [
@@ -291,6 +293,8 @@ def _weight_table(lam):
     entry in the reduced table; the single good matching of (1) weighs 0.
     The surgery depends only on v, so it runs once per first partner.
     """
+    if not lam:
+        raise EmptyPartition("the weight statistic needs at least one box")
     goods = good_matchings(lam)
     if lam.n == 1:
         return {goods[0].partner: 0}

@@ -6,16 +6,18 @@ are used as dictionary keys everywhere else in the package.
 
 import math
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import ALPHA, AlphaPoly
-from .errors import MissingPart
+from .config import check_degree
+from .errors import DegreeMismatch, MissingPart, NegativeOrder
 
 __all__ = [
     "Partition", "BoxStats", "generate_partitions", "z_aut_class",
     "modify", "down_k", "up_k", "down_kl", "up_kl",
-    "hooks", "eigenvalue", "theta_top", "leq_dominance",
+    "hooks", "hook_factors", "eigenvalue", "theta_top", "leq_dominance",
 ]
 
 
@@ -85,7 +87,9 @@ class BoxStats(NamedTuple):
 @lru_cache(maxsize=None)
 def generate_partitions(n):
     """All partitions of n in reverse-lexicographic order, largest first."""
-    assert n >= 0
+    if n < 0:
+        raise NegativeOrder("no partitions of the negative weight %d" % n)
+    check_degree(n)
     out = []
 
     def rec(rem, maxpart, prefix):
@@ -144,7 +148,8 @@ def down_kl(lam, k, l):
 
 def up_kl(lam, k, l):
     """Split one part k+l+1 into parts k and l."""
-    assert k >= 1 and l >= 1
+    if k < 1 or l < 1:
+        raise MissingPart("split parts must be positive, got %d and %d" % (k, l))
     out = _remove(lam, k + l + 1)
     out.extend((k, l))
     return Partition(out)
@@ -167,6 +172,28 @@ def hooks(lam):
         h = h * AlphaPoly((box.leg + 1, box.arm))
         h2 = h2 * AlphaPoly((box.leg, box.arm + 1))
     return h, h2, h * h2
+
+
+@lru_cache(maxsize=None)
+def hook_factors(lam):
+    """j_lam as an integer c times monic linear factors: (c, shifts) with
+    j_lam = c * prod (a + s)^m over the items (s, m) of the Counter shifts.
+
+    Each box contributes (leg+1) + arm*a and leg + (arm+1)*a; c collects
+    their leading coefficients, and the constant (leg+1) when arm is 0.
+    The cached Counter is shared by every caller: do not modify it.
+    """
+    const = 1
+    shifts = Counter()
+    for box in Partition(lam).boxes():
+        if box.arm:
+            const *= box.arm
+            shifts[Fraction(box.leg + 1, box.arm)] += 1
+        else:
+            const *= box.leg + 1
+        const *= box.arm + 1
+        shifts[Fraction(box.leg, box.arm + 1)] += 1
+    return const, shifts
 
 
 def eigenvalue(lam):
@@ -192,7 +219,9 @@ def theta_top(lam):
 def leq_dominance(mu, lam):
     """Whether mu is below lam in dominance order; both must have equal weight."""
     mu, lam = Partition(mu), Partition(lam)
-    assert mu.n == lam.n, "dominance compares partitions of the same weight"
+    if mu.n != lam.n:
+        raise DegreeMismatch("dominance compares partitions of the same weight, "
+                             "got %d and %d" % (mu.n, lam.n))
     total_mu = 0
     total_lam = 0
     for k in range(max(len(mu), len(lam))):

@@ -255,12 +255,11 @@ def apply_DE2_commutator(v):
     return PSumVector(v.degree + 1, out)
 
 
-def apply_Delta(l, v):
-    """The iterated bracket Delta_l = [D, [D, ... [D, p1/alpha]]] (l brackets).
+def _alpha_delta(l, v):
+    """alpha Delta_l(v): the binomial sum of apply_Delta without its 1/alpha.
 
-    Expanded binomially: alpha Delta_l(v) equals
-    sum_{k=0..l} C(l,k) (-1)^(l-k) D^k(p1 * D^(l-k) v),
-    so only l+1 summands and at most l D-applications each are needed.
+    Polynomial coefficients stay polynomial, so the tower in connection
+    grows alpha^n times its stages without a single gcd.
     """
     if l < 0:
         raise NegativeOrder("negative bracket depth %d" % l)
@@ -273,7 +272,17 @@ def apply_Delta(l, v):
         for _ in range(k):
             term = apply_D(term)
         total = total + term.scale(comb(l, k) * (-1) ** (l - k))
-    return total.scale(RatFunc(1, ALPHA))
+    return total
+
+
+def apply_Delta(l, v):
+    """The iterated bracket Delta_l = [D, [D, ... [D, p1/alpha]]] (l brackets).
+
+    Expanded binomially: alpha Delta_l(v) equals
+    sum_{k=0..l} C(l,k) (-1)^(l-k) D^k(p1 * D^(l-k) v),
+    so only l+1 summands and at most l D-applications each are needed.
+    """
+    return _alpha_delta(l, v).scale(RatFunc(1, ALPHA))
 
 
 _transition_lock = threading.Lock()

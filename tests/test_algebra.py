@@ -8,7 +8,7 @@ from jackcc.algebra import (
     substitute_alpha, substitute_beta,
 )
 from jackcc.errors import (
-    DivisionByZero, InexactDivision, NotPolynomial, PoleAtPoint,
+    BadExponent, DivisionByZero, InexactDivision, NotPolynomial, PoleAtPoint,
 )
 
 
@@ -29,6 +29,12 @@ def test_basic_arithmetic():
     assert 2 * p == AlphaPoly([2, 2])
     assert p ** 3 == AlphaPoly([1, 3, 3, 1])
     assert (ALPHA ** 2 - 1)(3) == 8
+
+
+@pytest.mark.parametrize("exponent", [-1, Fraction(1, 2), 2.0])
+def test_power_rejects_bad_exponent(exponent):
+    with pytest.raises(BadExponent):
+        ALPHA ** exponent
 
 
 def test_divmod_and_gcd():

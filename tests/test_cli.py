@@ -187,6 +187,39 @@ def test_negative_operator_order(argv, capsys):
     assert captured.err.count("\n") == 1
 
 
+def _one_error_line(captured):
+    return (captured.out == "" and captured.err.startswith("error: ")
+            and captured.err.count("\n") == 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["matchings", "--lambda", "-"],
+    ["connect-nn", "--lambda", "-"],
+    ["connect-lr", "--lambda", "-", "--l", "2"],
+])
+def test_empty_partition(argv, capsys):
+    assert main(argv) == 2
+    assert _one_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    ["partitions", "9"],
+    ["partitions", "60", "--max-n", "5"],
+    ["partitions", "6", "--max-n", "5"],
+    ["partitions", "-1"],
+])
+def test_partitions_degree_bound(argv, capsys, monkeypatch):
+    monkeypatch.delenv("JACKCC_MAX_N", raising=False)
+    assert main(argv) == 2
+    assert _one_error_line(capsys.readouterr())
+
+
+def test_partitions_within_max_n(capsys):
+    code, out = run(capsys, ["partitions", "5", "--max-n", "5"])
+    assert code == 0
+    assert len(out.splitlines()) == 7
+
+
 def test_every_package_error_is_one_family():
     classes = [c for c in vars(errors).values()
                if isinstance(c, type) and issubclass(c, Exception)]
@@ -227,6 +260,28 @@ def test_checks_survive_optimized_mode():
     assert plain.returncode == optimized.returncode == 0
     assert optimized.stdout == plain.stdout
     assert json.loads(plain.stdout)["n"] == 4
+
+
+def test_input_checks_in_optimized_mode():
+    probe = ("from jackcc import errors\n"
+             "from jackcc.algebra import ALPHA\n"
+             "from jackcc.partitions import Partition as P, generate_partitions,"
+             " leq_dominance, up_kl\n"
+             "for call, kind in [(lambda: ALPHA ** -1, errors.BadExponent),\n"
+             "                   (lambda: generate_partitions(-2), errors.NegativeOrder),\n"
+             "                   (lambda: up_kl(P([3]), 0, 2), errors.MissingPart),\n"
+             "                   (lambda: leq_dominance(P([2]), P([1])),"
+             " errors.DegreeMismatch)]:\n"
+             "    try:\n"
+             "        call()\n"
+             "    except kind:\n"
+             "        print('raised')\n")
+    done = _python("-O", "-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "raised\n" * 4
+    done = _python("-O", "-m", "jackcc.cli", "partitions", "60", "--max-n", "5")
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_nonpositive_part_in_optimized_mode():

@@ -1,16 +1,18 @@
+import hashlib
 import math
+from fractions import Fraction
 
 import pytest
 
 from jackcc.algebra import ALPHA, AlphaPoly, RatFunc, substitute_beta
 from jackcc.connection import (
-    CoeffResult, a_cauchy, a_lr, a_nn_recurrence, gamma_step,
-    generator_properties, remark_identities, verify_i_independence,
+    CoeffResult, a_cauchy, a_lr, a_nn_recurrence, generator_properties, remark_identities, verify_i_independence,
     verify_thm_rec,
 )
-from jackcc.errors import DegreeMismatch
-from jackcc.partitions import Partition, generate_partitions, z_aut_class
-from jackcc.psum import PSumVector
+from jackcc.errors import DegreeMismatch, EmptyPartition
+from jackcc.jack import jack_table
+from jackcc.partitions import Partition, generate_partitions, hooks, z_aut_class
+from jackcc.psum import PSumVector, apply_Delta
 
 P = Partition
 
@@ -103,19 +105,39 @@ def test_lr_route_matches_recurrence():
             assert a_lr(lam, 2, 0) == RatFunc(a_nn_recurrence(lam)), lam
 
 
+def test_three_routes_agree_at_degree_8():
+    full = P([8])
+    for lam in generate_partitions(8):
+        want = RatFunc(a_nn_recurrence(lam))
+        assert a_cauchy(lam, [full, full]) == want, lam
+        assert a_lr(lam, 2, 0) == want, lam
+
+
+def test_routes_that_need_a_box_reject_the_empty_partition():
+    assert a_cauchy(P([]), [P([]), P([])]) == RatFunc(1)
+    with pytest.raises(EmptyPartition):
+        a_nn_recurrence(P([]))
+    with pytest.raises(EmptyPartition):
+        a_lr(P([]), 2, 0)
+    with pytest.raises(EmptyPartition):
+        verify_thm_rec(P([1]), P([]))
+
+
 def test_lr_degenerate_l1():
     for n in range(2, 6):
         assert a_lr(P([1] * n), 1, 0).is_zero
 
 
 def test_gamma_tower():
+    # the normalized tower: each stage is apply_Delta over its new degree
     g1 = PSumVector(1, {P([1]): RatFunc(1, ALPHA)})
-    assert gamma_step(1, g1) == PSumVector(2, {P([2]): RatFunc(1, 2 * ALPHA)})
-    g2 = gamma_step(2, g1)
+    assert (apply_Delta(1, g1).scale(Fraction(1, 2))
+            == PSumVector(2, {P([2]): RatFunc(1, 2 * ALPHA)}))
+    g2 = apply_Delta(2, g1).scale(Fraction(1, 2))
     want = PSumVector(2, {P([2]): RatFunc(ALPHA - 1, 2 * ALPHA),
                           P([1, 1]): RatFunc(1, 2 * ALPHA)})
     assert g2 == want
-    g3 = gamma_step(2, g2)
+    g3 = apply_Delta(2, g2).scale(Fraction(1, 3))
     readout = g3.coeff(P([3]))
     z = z_aut_class(P([3]))[0]
     recovered = readout * RatFunc(z * ALPHA)
@@ -154,3 +176,55 @@ def test_cauchy_polynomial_for_general_indices():
                 for nu in parts:
                     value = a_cauchy(lam, [mu, nu])
                     assert value.is_polynomial, (lam, mu, nu)
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_route_values_are_pinned():
+    """sha256 of the canonical text of both routes, recorded from the
+    per-gamma RatFunc Cauchy sum and the tower grown from p_1/alpha."""
+    cauchy = []
+    for n in range(1, 6):
+        parts = generate_partitions(n)
+        for lam in parts:
+            for mu in parts:
+                for nu in parts:
+                    cauchy.append("%s|%s|%s|%s" % (
+                        lam.to_text(), mu.to_text(), nu.to_text(),
+                        a_cauchy(lam, [mu, nu]).to_text()))
+    assert _digest(cauchy) == (
+        "225c6bd3e375609ae0a38cc3e17d588d9b5eeb9865701c695fb94dcea7688ed2")
+    tower = []
+    for l in (2, 3):
+        for r in (0, 1, 2):
+            for n in range(1, 8):
+                for lam in generate_partitions(n):
+                    tower.append("%d|%d|%s|%s" % (
+                        l, r, lam.to_text(), a_lr(lam, l, r).to_text()))
+    assert _digest(tower) == (
+        "10b0a786c96ea51c59e47ce2392e8b2ef1129024fb18a36d7788351c2b693acb")
+
+
+def _per_gamma_cauchy(lam1, others):
+    """The Cauchy sum with one reduced RatFunc addition per gamma."""
+    n = lam1.n
+    table = jack_table(n)
+    total = RatFunc(0)
+    for gamma in generate_partitions(n):
+        product = table.theta(gamma, lam1)
+        for other in others:
+            product = product * table.theta(gamma, other)
+        total = total + product / RatFunc(hooks(gamma)[2])
+    z = z_aut_class(lam1)[0]
+    return total * RatFunc(AlphaPoly((0,) * len(lam1) + (z,)))
+
+
+def test_cauchy_matches_per_gamma_oracle():
+    for n in range(1, 7):
+        parts = generate_partitions(n)
+        for lam in parts:
+            for mu in parts:
+                want = _per_gamma_cauchy(lam, (P([n]), mu))
+                assert a_cauchy(lam, [P([n]), mu]) == want, (lam, mu)

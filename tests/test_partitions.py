@@ -1,12 +1,13 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from jackcc.algebra import ALPHA, AlphaPoly
-from jackcc.errors import MissingPart
+from jackcc.errors import DegreeMismatch, DegreeTooLarge, MissingPart, NegativeOrder
 from jackcc.partitions import (
-    Partition, down_k, down_kl, eigenvalue, generate_partitions, hooks,
-    leq_dominance, modify, theta_top, up_k, up_kl, z_aut_class,
+    Partition, down_k, down_kl, eigenvalue, generate_partitions, hook_factors,
+    hooks, leq_dominance, modify, theta_top, up_k, up_kl, z_aut_class,
 )
 
 
@@ -33,6 +34,14 @@ def test_generate_order_and_counts():
         (4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert len(generate_partitions(7)) == 15
     assert len(generate_partitions(8)) == 22
+
+
+def test_generate_rejects_bad_weights(monkeypatch):
+    with pytest.raises(NegativeOrder):
+        generate_partitions(-1)
+    monkeypatch.setenv("JACKCC_MAX_N", "4")
+    with pytest.raises(DegreeTooLarge):
+        generate_partitions(41)
 
 
 def test_class_sizes_partition_the_group():
@@ -64,6 +73,10 @@ def test_modify_missing_parts():
         down_kl(Partition([2, 1]), 2, 2)
     with pytest.raises(MissingPart):
         up_kl(Partition([3]), 1, 3)
+    with pytest.raises(MissingPart):
+        up_kl(Partition([3]), 0, 2)
+    with pytest.raises(MissingPart):
+        up_kl(Partition([3]), 3, -1)
 
 
 def test_modify_weight_changes():
@@ -111,6 +124,20 @@ def test_hook_degrees_and_specialization():
             assert j(1) == hook_product ** 2
 
 
+def test_hook_factors_multiply_to_j():
+    # j_(2) = 2 a^2 (a + 1); j_(2,1) = 2 a^2 (a + 2) (a + 1/2)
+    assert hook_factors(Partition([2])) == (2, {0: 2, 1: 1})
+    assert hook_factors(Partition([2, 1])) == (
+        2, {0: 2, Fraction(2): 1, Fraction(1, 2): 1})
+    for n in range(0, 8):
+        for lam in generate_partitions(n):
+            const, shifts = hook_factors(lam)
+            product = AlphaPoly(const)
+            for s, m in shifts.items():
+                product = product * AlphaPoly((s, 1)) ** m
+            assert product == hooks(lam)[2], lam
+
+
 def test_eigenvalue_examples():
     assert eigenvalue(Partition([2])) == ALPHA
     assert eigenvalue(Partition([1, 1])) == AlphaPoly(-1)
@@ -155,6 +182,8 @@ def test_dominance():
     assert leq_dominance(Partition([2, 2]), Partition([2, 2]))
     assert not leq_dominance(Partition([3, 1]), Partition([2, 2]))
     assert leq_dominance(Partition([2, 2]), Partition([3, 1]))
+    with pytest.raises(DegreeMismatch):
+        leq_dominance(Partition([2, 1]), Partition([2]))
     for lam in generate_partitions(6):
         assert leq_dominance(lam, Partition([6]))
         assert leq_dominance(Partition([1] * 6), lam)
