@@ -1,8 +1,11 @@
 """Exact arithmetic in the deformation parameter.
 
 AlphaPoly is a dense polynomial in one indeterminate (printed as "a") with
-Fraction coefficients.  RatFunc is a quotient of two of them kept in lowest
-terms with a monic denominator, which makes equality a plain comparison.
+rational coefficients, each stored as an int when it is integral and as a
+Fraction only when it is not, so integer polynomials add and multiply in
+plain big-int arithmetic.  Coefficient division always goes through
+Fraction.  RatFunc is a quotient of two polynomials kept in lowest terms
+with a monic denominator, which makes equality a plain comparison.
 """
 
 from fractions import Fraction
@@ -13,28 +16,37 @@ from .errors import (
 
 __all__ = [
     "AlphaPoly", "RatFunc", "ALPHA", "ONE",
-    "ratfunc_arith", "substitute_beta", "substitute_alpha",
-    "eval_at", "poly_gcd",
+    "substitute_beta", "eval_at", "poly_gcd",
 ]
 
 
-def _frac(x):
+def _coeff(x):
+    """x as an int when it is integral, else as a Fraction."""
     if isinstance(x, Fraction):
-        return x
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     raise TypeError("expected int or Fraction, got %r" % (x,))
 
 
+def _quotient(a, b):
+    """Exact quotient of two coefficients; int / int would be a float."""
+    return _coeff(Fraction(a, b))
+
+
 class AlphaPoly:
-    """Coefficients ascending by degree; the zero polynomial stores nothing."""
+    """Coefficients ascending by degree; the zero polynomial stores nothing.
+
+    Each stored coefficient is an int or a Fraction whose denominator is
+    not 1; the constructor normalises every coefficient to that form.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
         if isinstance(coeffs, (int, Fraction)):
             coeffs = (coeffs,)
-        cs = [_frac(c) for c in coeffs]
+        cs = [c if type(c) is int else _coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -51,11 +63,11 @@ class AlphaPoly:
     def coeff(self, k):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return Fraction(0)
+        return 0
 
     @property
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.coeffs[-1] if self.coeffs else 0
 
     # ---- ring operations ----
 
@@ -102,7 +114,7 @@ class AlphaPoly:
             return NotImplemented
         if self.is_zero or o.is_zero:
             return AlphaPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, ci in enumerate(self.coeffs):
             if ci:
                 for j, cj in enumerate(o.coeffs):
@@ -129,10 +141,10 @@ class AlphaPoly:
         dq = len(rem) - len(o.coeffs)
         if dq < 0:
             return AlphaPoly(), self
-        quo = [Fraction(0)] * (dq + 1)
+        quo = [0] * (dq + 1)
         lead = o.coeffs[-1]
         for k in range(dq, -1, -1):
-            c = rem[k + len(o.coeffs) - 1] / lead
+            c = _quotient(rem[k + len(o.coeffs) - 1], lead)
             quo[k] = c
             if c:
                 for j, oj in enumerate(o.coeffs):
@@ -156,10 +168,10 @@ class AlphaPoly:
         if self.is_zero:
             return self
         lead = self.coeffs[-1]
-        return AlphaPoly([c / lead for c in self.coeffs])
+        return AlphaPoly([_quotient(c, lead) for c in self.coeffs])
 
     def __call__(self, x):
-        x = _frac(x)
+        x = _coeff(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -167,7 +179,6 @@ class AlphaPoly:
 
     def shift(self, c):
         """The composed polynomial p(a + c)."""
-        c = _frac(c)
         acc = AlphaPoly()
         unit = AlphaPoly((c, 1))
         for coef in reversed(self.coeffs):
@@ -227,8 +238,8 @@ class AlphaPoly:
             else:
                 power = 0
                 coef = Fraction(token)
-            coeffs[power] = coeffs.get(power, Fraction(0)) + coef
-        out = [Fraction(0)] * (max(coeffs) + 1)
+            coeffs[power] = coeffs.get(power, 0) + coef
+        out = [0] * (max(coeffs) + 1)
         for k, c in coeffs.items():
             out[k] = c
         return cls(out)
@@ -275,8 +286,9 @@ class RatFunc:
                 den = den.exact_div(g)
         lead = den.leading
         if lead != 1:
-            num = num * (1 / lead)
-            den = den * (1 / lead)
+            inv = _quotient(1, lead)
+            num = num * inv
+            den = den * inv
         self.num, self.den = num, den
 
     @staticmethod
@@ -364,7 +376,7 @@ class RatFunc:
         return not self.is_zero
 
     def eval_at(self, x):
-        x = _frac(x)
+        x = _coeff(x)
         dv = self.den(x)
         if dv == 0:
             raise PoleAtPoint("denominator vanishes at %s" % x)
@@ -386,25 +398,6 @@ class RatFunc:
         return "RatFunc(%s)" % self.to_text()
 
 
-_OPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: a / b,
-}
-# unicode spellings accepted on input
-_OPS["−"] = _OPS["-"]
-_OPS["×"] = _OPS["*"]
-_OPS["÷"] = _OPS["/"]
-
-
-def ratfunc_arith(a, b, op):
-    """Apply one of the four field operations, given by its symbol."""
-    if op not in _OPS:
-        raise ValueError("unknown operation %r" % (op,))
-    return _OPS[op](RatFunc._coerce(a), RatFunc._coerce(b))
-
-
 def _require_poly(p):
     if isinstance(p, RatFunc):
         return p.as_poly()
@@ -416,11 +409,6 @@ def _require_poly(p):
 def substitute_beta(p):
     """Rewrite p(a) as a polynomial in b where a = b + 1."""
     return _require_poly(p).shift(1)
-
-
-def substitute_alpha(q):
-    """Inverse of substitute_beta."""
-    return _require_poly(q).shift(-1)
 
 
 def eval_at(p, x):

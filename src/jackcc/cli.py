@@ -301,9 +301,14 @@ def _parse_partition(text):
         raise MissingPart("bad partition %r" % (text,)) from None
 
 
+def _check_max_n(args, n):
+    """Refuse a degree above --max-n before any work is done."""
+    if args.max_n is not None and n > args.max_n:
+        raise DegreeTooLarge("degree %d exceeds --max-n %d" % (n, args.max_n))
+
+
 def _cmd_partitions(args):
-    if args.max_n is not None and args.n > args.max_n:
-        raise DegreeTooLarge("degree %d exceeds --max-n %d" % (args.n, args.max_n))
+    _check_max_n(args, args.n)
     rows = []
     for lam in generate_partitions(args.n):
         z, _, size = z_aut_class(lam)
@@ -316,11 +321,13 @@ def _cmd_jack(args):
         raise MissingPart("need exactly one of --lambda and --n")
     if args.lam is not None:
         lam = _parse_partition(args.lam)
+        _check_max_n(args, lam.n)
         table = jack_table(lam.n)
         row = table.row(lam)
         rows = tuple((mu.to_text(), c.to_text())
                      for mu, c in row.items())
         return Table(("mu", "theta"), rows, json_obj=row.to_json()), 0
+    _check_max_n(args, args.n)
     table = jack_table(args.n)
     rows = tuple((lam.to_text(), mu.to_text(), c.to_text())
                  for lam in table
@@ -341,6 +348,7 @@ def _coeff_table(lam_text, value):
 def _cmd_connect(args):
     lam = _parse_partition(args.lam)
     others = [_parse_partition(t) for t in args.with_]
+    _check_max_n(args, max(p.n for p in [lam] + others))
     value = a_cauchy(lam, others)
     return _coeff_table(lam.to_text(), value), 0
 
@@ -350,6 +358,7 @@ def _cmd_connect_nn(args):
         raise MissingPart("need exactly one of --lambda and --n")
     if args.lam is not None:
         lam = _parse_partition(args.lam)
+        _check_max_n(args, lam.n)
         poly = a_nn_recurrence(lam)
         if args.beta:
             beta = substitute_beta(poly)
@@ -358,6 +367,7 @@ def _cmd_connect_nn(args):
                          json_obj={"lambda": lam.to_text(),
                                    "beta": beta.to_json()}), 0
         return _coeff_table(lam.to_text(), RatFunc(poly)), 0
+    _check_max_n(args, args.n)
     rows = []
     obj = []
     for lam in generate_partitions(args.n):
@@ -371,12 +381,14 @@ def _cmd_connect_nn(args):
 
 def _cmd_connect_lr(args):
     lam = _parse_partition(args.lam)
+    _check_max_n(args, lam.n)
     value = a_lr(lam, args.l, args.r)
     return _coeff_table(lam.to_text(), value), 0
 
 
 def _cmd_matchings(args):
     lam = _parse_partition(args.lam)
+    _check_max_n(args, lam.n)
     found = enumerate_good(lam, threads=args.threads)
     entries = found.entries
     if args.bipartite_only:

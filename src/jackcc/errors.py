@@ -38,6 +38,10 @@ class BadConfig(JackccError, ValueError):
     """An environment setting has a value the package cannot use."""
 
 
+class BrokenInvariant(JackccError, RuntimeError):
+    """An identity the construction guarantees did not hold; the code is at fault."""
+
+
 class DegenerateSystem(JackccError, ArithmeticError):
     """An eigenvector solve did not pin down a one-dimensional space."""
 

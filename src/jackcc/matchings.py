@@ -18,7 +18,8 @@ from typing import NamedTuple
 from .algebra import AlphaPoly
 from .config import check_degree
 from .errors import (
-    AdjacentPair, DegreeMismatch, EmptyPartition, NotGoodMatching, UnmatchedPair,
+    AdjacentPair, BrokenInvariant, DegreeMismatch, EmptyPartition,
+    NotGoodMatching, UnmatchedPair,
 )
 from .partitions import Partition, down_k, down_kl, up_kl
 
@@ -129,7 +130,9 @@ def build_canonical(lam):
             black_pairs.append((hat, succ))
         offset += part
     black = Matching(black_pairs, 2 * n)
-    assert union_cycle_type(gray, black) == lam
+    if union_cycle_type(gray, black) != lam:
+        raise BrokenInvariant("canonical graph of %s has the wrong cycle type"
+                              % lam.to_text())
     return LambdaGraph(lam, gray, black)
 
 
@@ -390,7 +393,9 @@ def enumerate_good(lam, threads=1):
     table = _weight_table(lam)
     entries = tuple(MatchingEntry(m, table[m.partner], is_bipartite(m))
                     for m in matchings)
-    assert all((e.weight == 0) == e.bipartite for e in entries)
+    if any((e.weight == 0) != e.bipartite for e in entries):
+        raise BrokenInvariant("a weight of %s is 0 on a non-bipartite matching"
+                              " or positive on a bipartite one" % lam.to_text())
     return WeightedMatchingSet(lam, entries)
 
 

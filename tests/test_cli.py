@@ -1,3 +1,5 @@
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -214,6 +216,35 @@ def test_partitions_degree_bound(argv, capsys, monkeypatch):
     assert _one_error_line(capsys.readouterr())
 
 
+@pytest.mark.parametrize("argv", [
+    ["jack", "--n", "5", "--max-n", "2"],
+    ["jack", "--lambda", "3,1", "--max-n", "3"],
+    ["connect", "--lambda", "3", "--with", "3", "--with", "3", "--max-n", "2"],
+    ["connect-nn", "--n", "6", "--max-n", "3"],
+    ["connect-nn", "--lambda", "4", "--max-n", "3"],
+    ["connect-lr", "--lambda", "2,2", "--l", "2", "--max-n", "3"],
+    ["matchings", "--lambda", "3,1", "--max-n", "3"],
+])
+def test_max_n_bounds_every_subcommand(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured)
+    assert "exceeds --max-n" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["jack", "--n", "3", "--max-n", "3"],
+    ["connect", "--lambda", "3", "--with", "3", "--with", "3", "--max-n", "3"],
+    ["connect-nn", "--n", "3", "--max-n", "3"],
+    ["connect-lr", "--lambda", "2,1", "--l", "2", "--max-n", "3"],
+    ["matchings", "--lambda", "2,1", "--max-n", "3"],
+])
+def test_max_n_admits_its_own_degree(argv, capsys):
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert out
+
+
 def test_partitions_within_max_n(capsys):
     code, out = run(capsys, ["partitions", "5", "--max-n", "5"])
     assert code == 0
@@ -282,6 +313,18 @@ def test_input_checks_in_optimized_mode():
     done = _python("-O", "-m", "jackcc.cli", "partitions", "60", "--max-n", "5")
     assert done.returncode == 2
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_no_assert_in_package_source():
+    # python -O strips assert statements, so no check may live in one
+    src = os.path.dirname(os.path.abspath(jackcc.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=path)
+        found += ["%s:%d" % (os.path.basename(path), node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_nonpositive_part_in_optimized_mode():

@@ -2,7 +2,10 @@ import pytest
 
 from jackcc.algebra import AlphaPoly, substitute_beta
 from jackcc.connection import a_nn_recurrence
-from jackcc.errors import AdjacentPair, DegreeMismatch, NotGoodMatching, UnmatchedPair
+from jackcc import matchings
+from jackcc.errors import (
+    AdjacentPair, BrokenInvariant, DegreeMismatch, NotGoodMatching, UnmatchedPair,
+)
 from jackcc.matchings import (
     Matching, bipartite_count, build_canonical, counting_recurrence_check,
     enumerate_good, good_matchings, is_bipartite, reduce, union_cycle_type,
@@ -222,6 +225,16 @@ def test_zero_weight_iff_bipartite():
         for lam in generate_partitions(n):
             for entry in enumerate_good(lam).entries:
                 assert (entry.weight == 0) == entry.bipartite
+
+
+def test_broken_invariants_raise_typed_errors(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(matchings, "union_cycle_type", lambda m1, m2: P([1]))
+        with pytest.raises(BrokenInvariant):
+            build_canonical(P([2, 1]))
+    monkeypatch.setattr(matchings, "is_bipartite", lambda delta: False)
+    with pytest.raises(BrokenInvariant):
+        enumerate_good(P([3]))
 
 
 def test_threaded_enumeration_is_identical():

@@ -1,4 +1,8 @@
-"""Property tests for RatFunc canonical form, with and without a gcd step."""
+"""Property tests for the coefficient ring and the RatFunc canonical form.
+
+AlphaPoly stores an integral coefficient as an int and any other as a
+Fraction; the oracle below redoes every operation on plain Fraction lists.
+"""
 
 from fractions import Fraction
 
@@ -8,7 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
-from jackcc.algebra import ONE, AlphaPoly, RatFunc, poly_gcd
+from jackcc.algebra import ONE, AlphaPoly, RatFunc, eval_at, poly_gcd
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 nonzero = fractions.filter(bool)
@@ -50,3 +54,127 @@ def test_polynomial_operands_match_the_general_formula(p, q, d):
         z = RatFunc(q, d)
         assert x + z == RatFunc(p * d + q, d)
         assert x * z == RatFunc(p * q, d)
+
+
+# ---- int-or-Fraction coefficients against an all-Fraction oracle ----
+
+coeffs = st.one_of(st.integers(min_value=-30, max_value=30), fractions)
+raw_polys = st.lists(coeffs, max_size=6)
+nonzero_raw = raw_polys.filter(lambda cs: any(cs))
+
+
+def _trim(cs):
+    out = [Fraction(c) for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _o_add(a, b):
+    n = max(len(a), len(b))
+    return _trim([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
+                  for k in range(n)])
+
+
+def _o_neg(a):
+    return tuple(-c for c in a)
+
+
+def _o_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _o_divmod(a, b):
+    rem = list(a)
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(quo))):
+        c = rem[k + len(b) - 1] / b[-1]
+        quo[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return _trim(quo), _trim(rem)
+
+
+def _o_shift(a, c):
+    acc = ()
+    for coef in reversed(a):
+        acc = _o_add(_o_mul(acc, (Fraction(c), Fraction(1))), (coef,))
+    return acc
+
+
+def _o_eval(a, x):
+    acc = Fraction(0)
+    for coef in reversed(a):
+        acc = acc * x + coef
+    return acc
+
+
+def _stored(p):
+    """p's coefficients, after checking each is an int or a proper Fraction."""
+    for c in p.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+    return p.coeffs
+
+
+@given(raw_polys, raw_polys)
+def test_ring_operations_against_the_oracle(x, y):
+    p, q = AlphaPoly(x), AlphaPoly(y)
+    a, b = _trim(x), _trim(y)
+    assert _stored(p) == a
+    assert _stored(p + q) == _o_add(a, b)
+    assert _stored(p - q) == _o_add(a, _o_neg(b))
+    assert _stored(p * q) == _o_mul(a, b)
+
+
+@given(raw_polys, nonzero_raw)
+def test_division_against_the_oracle(x, y):
+    p, q = AlphaPoly(x), AlphaPoly(y)
+    a, b = _trim(x), _trim(y)
+    quo, rem = divmod(p, q)
+    assert (_stored(quo), _stored(rem)) == _o_divmod(a, b)
+    assert _stored((p * q).exact_div(q)) == a
+    assert _stored(q.monic()) == tuple(c / b[-1] for c in b)
+
+
+@given(raw_polys, coeffs)
+def test_shift_against_the_oracle(x, c):
+    p = AlphaPoly(x)
+    assert _stored(p.shift(c)) == _o_shift(_trim(x), c)
+
+
+@given(raw_polys)
+def test_serialisations_store_the_same_form(x):
+    p = AlphaPoly(x)
+    assert _stored(AlphaPoly.from_json(p.to_json())) == _trim(x)
+    assert _stored(AlphaPoly.from_text(p.to_text())) == _trim(x)
+
+
+@given(raw_polys, nonzero_raw)
+def test_non_monic_denominator_is_normalised(x, y):
+    b = _trim(y)
+    r = RatFunc(AlphaPoly(x), AlphaPoly(y))
+    num, den = _stored(r.num), _stored(r.den)
+    assert den[-1] == 1
+    assert _o_mul(num, b) == _o_mul(_trim(x), den)
+
+
+@given(raw_polys, nonzero_raw, coeffs)
+def test_eval_at_returns_a_fraction(x, y, point):
+    p = AlphaPoly(x)
+    value = eval_at(p, point)
+    assert type(value) is Fraction
+    assert value == _o_eval(_trim(x), Fraction(point))
+    r = RatFunc(p, AlphaPoly(y))
+    if r.den(point) != 0:
+        assert type(r.eval_at(point)) is Fraction
+
+
+def test_float_coefficients_are_refused():
+    with pytest.raises(TypeError):
+        AlphaPoly([1, 0.5])
+    with pytest.raises(TypeError):
+        AlphaPoly((1, 1)).shift(1.0)
