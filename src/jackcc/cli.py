@@ -319,16 +319,15 @@ def _cmd_partitions(args):
 def _cmd_jack(args):
     if (args.lam is None) == (args.n is None):
         raise MissingPart("need exactly one of --lambda and --n")
-    if args.lam is not None:
-        lam = _parse_partition(args.lam)
-        _check_max_n(args, lam.n)
-        table = jack_table(lam.n)
+    lam = _parse_partition(args.lam) if args.lam is not None else None
+    n = lam.n if lam is not None else args.n
+    _check_max_n(args, n)
+    table = jack_table(n)
+    if lam is not None:
         row = table.row(lam)
         rows = tuple((mu.to_text(), c.to_text())
                      for mu, c in row.items())
         return Table(("mu", "theta"), rows, json_obj=row.to_json()), 0
-    _check_max_n(args, args.n)
-    table = jack_table(args.n)
     rows = tuple((lam.to_text(), mu.to_text(), c.to_text())
                  for lam in table
                  for mu, c in table.row(lam).items())
@@ -356,9 +355,9 @@ def _cmd_connect(args):
 def _cmd_connect_nn(args):
     if (args.lam is None) == (args.n is None):
         raise MissingPart("need exactly one of --lambda and --n")
-    if args.lam is not None:
-        lam = _parse_partition(args.lam)
-        _check_max_n(args, lam.n)
+    lam = _parse_partition(args.lam) if args.lam is not None else None
+    _check_max_n(args, lam.n if lam is not None else args.n)
+    if lam is not None:
         poly = a_nn_recurrence(lam)
         if args.beta:
             beta = substitute_beta(poly)
@@ -367,7 +366,6 @@ def _cmd_connect_nn(args):
                          json_obj={"lambda": lam.to_text(),
                                    "beta": beta.to_json()}), 0
         return _coeff_table(lam.to_text(), RatFunc(poly)), 0
-    _check_max_n(args, args.n)
     rows = []
     obj = []
     for lam in generate_partitions(args.n):

@@ -5,7 +5,6 @@ the release checklist.  Stated runtime budgets are asserted after the
 mathematical content of each criterion.
 """
 
-import hashlib
 import math
 import os
 import time
@@ -13,7 +12,6 @@ import time
 import pytest
 
 from jackcc.algebra import ALPHA, RatFunc, substitute_beta
-from jackcc.cli import main
 from jackcc.connection import (
     a_cauchy, a_lr, a_nn_recurrence, generator_properties,
     verify_i_independence, verify_thm_rec,
@@ -162,21 +160,3 @@ def test_criterion_8_counting_recurrences(capsys):
                     assert counting_recurrence_check(lam, i)
 
     _criterion(capsys, 8, "matching counts split by root partner", body)
-
-
-# sha256 of `JACKCC_MAX_N=10 jackcc jack --n 10 --format json`, recorded
-# from the all-Fraction coefficient ring.
-DEGREE_10_DIGEST = "fa553b66aa2c262de5aa1eb1ff8ce72054a594976200e9ebd6119512aa114fa6"
-
-
-@pytest.mark.skipif(not os.environ.get("JACKCC_ACCEPT_N10"),
-                    reason="set JACKCC_ACCEPT_N10=1 to pin the degree-10 table")
-def test_criterion_9_degree_10_table(capsys, monkeypatch):
-    monkeypatch.setenv("JACKCC_MAX_N", "10")
-
-    def body():
-        assert main(["jack", "--n", "10", "--format", "json"]) == 0
-        out = capsys.readouterr().out.encode("utf-8")
-        assert hashlib.sha256(out).hexdigest() == DEGREE_10_DIGEST
-
-    _criterion(capsys, 9, "degree-10 Jack table is byte-stable", body)

@@ -128,7 +128,7 @@ def test_alpha_one_specializes_to_power_sum_symmetrics():
 # sha256 of `jackcc jack --n k --format json`, recorded from the
 # elimination solver the triangular recursion replaced for k <= 8 (k = 7 is
 # also the digest of bench/golden/jack-n-7.json) and from the all-Fraction
-# coefficient ring for k = 9.
+# coefficient ring for k = 9 and 10.
 TABLE_DIGESTS = {
     1: "98278762a9bf977453868545d7544cd2b44ea7ee189ecf7d8f167456a4375326",
     2: "bd199438d79a764657f93f6b4f5bb3feecd021dfb2b3aa2084ad0381e5747a4a",
@@ -139,12 +139,13 @@ TABLE_DIGESTS = {
     7: "7e80664e379bd61421d90a49b85897b5edc5ee60015bf8671de513bfba5fbff9",
     8: "21870abf367a4eb6d9bdd3527f4d0cfcc0f4688e9ed014270e7b5cb8d60dde65",
     9: "c8a1913ff91505d53b9ae289036e9e7dc417141834d3bda04b8f28dbe1641c85",
+    10: "fa553b66aa2c262de5aa1eb1ff8ce72054a594976200e9ebd6119512aa114fa6",
 }
 
 
 @pytest.mark.parametrize("n", sorted(TABLE_DIGESTS))
 def test_table_json_digest(n, capsys, monkeypatch):
-    monkeypatch.setenv("JACKCC_MAX_N", "9")
+    monkeypatch.setenv("JACKCC_MAX_N", "10")
     assert main(["jack", "--n", str(n), "--format", "json"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == TABLE_DIGESTS[n]
