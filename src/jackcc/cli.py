@@ -20,8 +20,8 @@ from .connection import (
     verify_i_independence, verify_thm_rec,
 )
 from .errors import (
-    DegreeTooLarge, IoError, JackccError, MissingPart, UnknownSuite,
-    UnsupportedFormat,
+    DegreeTooLarge, DegreeTooSmall, IoError, JackccError, MissingPart,
+    NegativeOrder, UnknownSuite, UnsupportedFormat,
 )
 from .jack import inner_product, jack_table
 from .matchings import (
@@ -119,16 +119,6 @@ def emit(payload, fmt, path=None):
             sink.write(body)
     except OSError as exc:
         raise IoError("cannot write %s: %s" % (path, exc)) from None
-
-
-_SUITE_DEFAULT_N = {
-    "matchings-jack": 6,
-    "thm-rec": 5,
-    "i-indep": 7,
-    "orthogonality": 6,
-    "comb-rec": 6,
-    "gen-coeff": 5,
-}
 
 
 def _checks_matchings_jack(max_n):
@@ -252,46 +242,47 @@ def _checks_gen_coeff(max_n):
     return out
 
 
+class _Suite(NamedTuple):
+    checks: object
+    default_n: int
+    low: int
+
+
+# Each suite: its check builder (max_n -> [(description, run)]), or the
+# names of the suites it runs in turn, its default degree and its lowest.
 _SUITES = {
-    "matchings-jack": _checks_matchings_jack,
-    "thm-rec": _checks_thm_rec,
-    "i-indep": _checks_i_indep,
-    "orthogonality": _checks_orthogonality,
-    "comb-rec": _checks_comb_rec,
-    "gen-coeff": _checks_gen_coeff,
+    "matchings-jack": _Suite(_checks_matchings_jack, 6, 1),
+    "thm-rec": _Suite(_checks_thm_rec, 5, 2),
+    "i-indep": _Suite(_checks_i_indep, 7, 2),
+    "orthogonality": _Suite(_checks_orthogonality, 6, 1),
+    "comb-rec": _Suite(_checks_comb_rec, 6, 1),
+    "gen-coeff": _Suite(_checks_gen_coeff, 5, 1),
+    "thm34": _Suite(("matchings-jack", "gen-coeff"), 6, 1),
 }
 
 
-def run_suite(name, max_n=None, threads=1):
-    """Run one named suite (or the thm34 pair) and report every check."""
-    if name == "thm34":
-        planned = []
-        if max_n is None:
-            planned += _checks_matchings_jack(_SUITE_DEFAULT_N["matchings-jack"])
-            planned += _checks_gen_coeff(_SUITE_DEFAULT_N["gen-coeff"])
-        else:
-            planned += _checks_matchings_jack(max_n)
-            planned += _checks_gen_coeff(max_n)
-        low = 1
-    elif name in _SUITES:
-        if max_n is None:
-            max_n = _SUITE_DEFAULT_N[name]
-        planned = _SUITES[name](max_n)
-        low = 2 if name in ("thm-rec", "i-indep") else 1
-    else:
+def _plan(name, max_n):
+    """The (description, run) pairs of one suite; None takes each part's default."""
+    suite = _SUITES[name]
+    if isinstance(suite.checks, tuple):
+        return [item for part in suite.checks for item in _plan(part, max_n)]
+    return suite.checks(suite.default_n if max_n is None else max_n)
+
+
+def run_suite(name, max_n=None):
+    """Run one named suite and report every check."""
+    if name not in _SUITES:
         raise UnknownSuite("no suite named %r" % (name,))
+    suite = _SUITES[name]
+    if max_n is not None and max_n < suite.low:
+        raise DegreeTooSmall("suite %s starts at degree %d, --max-n %d checks nothing"
+                             % (name, suite.low, max_n))
+    planned = _plan(name, max_n)
     started = time.perf_counter()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda item: item[1](), planned))
-    else:
-        outcomes = [run() for _, run in planned]
+    checks = tuple(Check(desc, *run()) for desc, run in planned)
     elapsed = (time.perf_counter() - started) * 1000.0
-    checks = tuple(Check(desc, ok, lhs, rhs)
-                   for (desc, _), (ok, lhs, rhs) in zip(planned, outcomes))
-    top = max_n if max_n is not None else _SUITE_DEFAULT_N["matchings-jack"]
-    return VerificationReport(name, (low, top), checks, elapsed)
+    top = suite.default_n if max_n is None else max_n
+    return VerificationReport(name, (suite.low, top), checks, elapsed)
 
 
 def _parse_partition(text):
@@ -302,8 +293,12 @@ def _parse_partition(text):
 
 
 def _check_max_n(args, n):
-    """Refuse a degree above --max-n before any work is done."""
-    if args.max_n is not None and n > args.max_n:
+    """Refuse a non-positive --max-n, or a degree above it, before any work is done."""
+    if args.max_n is None:
+        return
+    if args.max_n < 1:
+        raise DegreeTooSmall("--max-n must be at least 1, got %d" % args.max_n)
+    if n > args.max_n:
         raise DegreeTooLarge("degree %d exceeds --max-n %d" % (n, args.max_n))
 
 
@@ -387,7 +382,9 @@ def _cmd_connect_lr(args):
 def _cmd_matchings(args):
     lam = _parse_partition(args.lam)
     _check_max_n(args, lam.n)
-    found = enumerate_good(lam, threads=args.threads)
+    if args.limit is not None and args.limit < 0:
+        raise NegativeOrder("--limit must be at least 0, got %d" % args.limit)
+    found = enumerate_good(lam)
     entries = found.entries
     if args.bipartite_only:
         entries = tuple(e for e in entries if e.bipartite)
@@ -404,7 +401,7 @@ def _cmd_matchings(args):
 
 
 def _cmd_verify(args):
-    report = run_suite(args.suite, args.max_n, threads=args.threads)
+    report = run_suite(args.suite, args.max_n)
     return report, (0 if report.passed else 1)
 
 
@@ -413,7 +410,6 @@ def build_parser():
     shared.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
     shared.add_argument("--out", default=None, metavar="PATH")
-    shared.add_argument("--threads", type=int, default=1)
     shared.add_argument("--max-n", dest="max_n", type=int, default=None)
 
     parser = argparse.ArgumentParser(

@@ -34,6 +34,10 @@ class DegreeTooLarge(JackccError, ValueError):
     """Requested degree exceeds the configured bound."""
 
 
+class DegreeTooSmall(JackccError, ValueError):
+    """A degree bound below the lowest degree the command checks, so nothing would run."""
+
+
 class BadConfig(JackccError, ValueError):
     """An environment setting has a value the package cannot use."""
 

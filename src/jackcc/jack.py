@@ -16,7 +16,7 @@ partitions sharing an eigenvalue, such as (2,2,2) and (3,1,1,1), are never
 comparable in dominance, so no gap vanishes.
 """
 
-import threading
+from functools import lru_cache
 
 from .algebra import AlphaPoly, RatFunc
 from .config import check_degree
@@ -27,7 +27,7 @@ from .partitions import (
 )
 from .psum import MonomialVector, PSumVector, apply_D, m_to_p, p_to_m
 
-__all__ = ["JackTable", "jack_in_p", "jack_table", "inner_product"]
+__all__ = ["JackTable", "jack_table", "inner_product"]
 
 _ZERO = AlphaPoly()
 
@@ -102,28 +102,17 @@ class JackTable:
                     for r in data["rows"]})
 
 
-_table_lock = threading.Lock()
-_table_cache = {}
-
-
-def jack_in_p(lam):
-    """Power-sum expansion of J_lam, normalized so theta on [1^n] is 1."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    check_degree(lam.n)
-    return jack_table(lam.n).row(lam)
+@lru_cache(maxsize=None)
+def _build_table(n):
+    matrix = _d_on_monomials(n)
+    return JackTable(n, {lam: _solve_row(lam, matrix)
+                         for lam in generate_partitions(n)})
 
 
 def jack_table(n):
+    """Every theta row of degree n, built once per degree."""
     check_degree(n)
-    with _table_lock:
-        cached = _table_cache.get(n)
-    if cached is not None:
-        return cached
-    matrix = _d_on_monomials(n)
-    table = JackTable(n, {lam: _solve_row(lam, matrix)
-                          for lam in generate_partitions(n)})
-    with _table_lock:
-        return _table_cache.setdefault(n, table)
+    return _build_table(n)
 
 
 def inner_product(u, v):

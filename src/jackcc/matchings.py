@@ -156,14 +156,6 @@ def _search(partner, gend, bend, free, out):
         partner[a] = partner[v] = 0
 
 
-def _initial_state(graph):
-    size = graph.gray.size
-    partner = [0] * (size + 1)
-    gend = [0] + [graph.gray.of(v) for v in range(1, size + 1)]
-    bend = [0] + [graph.black.of(v) for v in range(1, size + 1)]
-    return partner, gend, bend
-
-
 @lru_cache(maxsize=None)
 def good_matchings(lam):
     """All good matchings in lexicographic partner order.
@@ -176,10 +168,11 @@ def good_matchings(lam):
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     check_degree(lam.n)
     graph = build_canonical(lam)
-    partner, gend, bend = _initial_state(graph)
-    out = []
-    _search(partner, gend, bend, 2 * lam.n, out)
     size = 2 * lam.n
+    gend = [0] + [graph.gray.of(v) for v in range(1, size + 1)]
+    bend = [0] + [graph.black.of(v) for v in range(1, size + 1)]
+    out = []
+    _search([0] * (size + 1), gend, bend, size, out)
     return tuple(Matching(((v, p[v]) for v in range(1, size + 1) if v < p[v]),
                           size) for p in out)
 
@@ -361,38 +354,13 @@ def _generating_poly(weights):
     return AlphaPoly([counts.get(k, 0) for k in range(top + 1)])
 
 
-def _branch_matchings(lam, first_partner):
-    graph = build_canonical(lam)
-    partner, gend, bend = _initial_state(graph)
-    size = 2 * lam.n
-    v = first_partner
-    if size > 2 and (gend[1] == v or bend[1] == v):
-        return ()
-    partner[1], partner[v] = v, 1
-    ga, gv, ba, bv = gend[1], gend[v], bend[1], bend[v]
-    gend[ga], gend[gv] = gv, ga
-    bend[ba], bend[bv] = bv, ba
-    out = []
-    _search(partner, gend, bend, size - 2, out)
-    return tuple(Matching(((w, p[w]) for w in range(1, size + 1) if w < p[w]),
-                          size) for p in out)
-
-
-def enumerate_good(lam, threads=1):
-    """Weighted entry list; multi-threaded runs split on vertex 1's partner."""
+def enumerate_good(lam):
+    """Every good matching of lam with its weight and parity."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     check_degree(lam.n)
-    if threads > 1 and lam.n > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(lambda v: _branch_matchings(lam, v),
-                              range(2, 2 * lam.n + 1))
-        matchings = tuple(m for chunk in chunks for m in chunk)
-    else:
-        matchings = good_matchings(lam)
     table = _weight_table(lam)
     entries = tuple(MatchingEntry(m, table[m.partner], is_bipartite(m))
-                    for m in matchings)
+                    for m in good_matchings(lam))
     if any((e.weight == 0) != e.bipartite for e in entries):
         raise BrokenInvariant("a weight of %s is 0 on a non-bipartite matching"
                               " or positive on a bipartite one" % lam.to_text())

@@ -16,7 +16,7 @@ from .errors import DegreeMismatch, MissingPart, NegativeOrder
 
 __all__ = [
     "Partition", "BoxStats", "generate_partitions", "z_aut_class",
-    "modify", "down_k", "up_k", "down_kl", "up_kl",
+    "down_k", "up_k", "down_kl", "up_kl",
     "hooks", "hook_factors", "eigenvalue", "theta_top", "leq_dominance",
 ]
 
@@ -153,15 +153,6 @@ def up_kl(lam, k, l):
     out = _remove(lam, k + l + 1)
     out.extend((k, l))
     return Partition(out)
-
-
-_MOVES = {"down_k": down_k, "up_k": up_k, "down_kl": down_kl, "up_kl": up_kl}
-
-
-def modify(lam, which, *args):
-    if which not in _MOVES:
-        raise ValueError("unknown modification %r" % (which,))
-    return _MOVES[which](lam, *args)
 
 
 def hooks(lam):

@@ -7,7 +7,7 @@ factor m_i and removes one part, so every operator below reduces to
 integer multiplicity bookkeeping on the key.
 """
 
-import threading
+from functools import lru_cache
 from math import comb
 
 from .algebra import ALPHA, RatFunc
@@ -285,10 +285,6 @@ def apply_Delta(l, v):
     return _alpha_delta(l, v).scale(RatFunc(1, ALPHA))
 
 
-_transition_lock = threading.Lock()
-_transition_cache = {}
-
-
 def _expand_in_monomials(mu, n):
     """Monomial coefficients of p_mu in n variables, keyed by exponent tuple.
 
@@ -314,17 +310,8 @@ def _expand_in_monomials(mu, n):
     return table
 
 
-def transition_matrix(n):
-    """Integer matrix R with p_mu = sum_lam R[mu][lam] m_lam, cached per degree.
-
-    Nonzero entries satisfy lam >= mu in dominance, so R is triangular in
-    the generation order of partitions.
-    """
-    check_degree(n)
-    with _transition_lock:
-        cached = _transition_cache.get(n)
-    if cached is not None:
-        return cached
+@lru_cache(maxsize=None)
+def _transition(n):
     order = generate_partitions(n)
     matrix = {}
     for mu in order:
@@ -335,8 +322,17 @@ def transition_matrix(n):
             if entry:
                 row[lam] = entry
         matrix[mu] = row
-    with _transition_lock:
-        return _transition_cache.setdefault(n, matrix)
+    return matrix
+
+
+def transition_matrix(n):
+    """Integer matrix R with p_mu = sum_lam R[mu][lam] m_lam, cached per degree.
+
+    Nonzero entries satisfy lam >= mu in dominance, so R is triangular in
+    the generation order of partitions.
+    """
+    check_degree(n)
+    return _transition(n)
 
 
 def p_to_m(v):

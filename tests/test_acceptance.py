@@ -80,12 +80,11 @@ def test_criterion_2_three_routes_agree(capsys):
 def test_criterion_3_weight_distribution(capsys):
     deep = bool(os.environ.get("JACKCC_ACCEPT_N7"))
     top = 7 if deep else 6
-    threads = (os.cpu_count() or 1) if deep else 1
 
     def body():
         for n in range(1, top + 1):
             for lam in generate_partitions(n):
-                found = enumerate_good(lam, threads=threads)
+                found = enumerate_good(lam)
                 shifted = substitute_beta(a_nn_recurrence(lam))
                 assert found.distribution() == shifted
                 assert all((e.weight == 0) == e.bipartite

@@ -10,7 +10,9 @@ import pytest
 import jackcc
 from jackcc.cli import Table, emit, main, run_suite
 from jackcc import errors
-from jackcc.errors import JackccError, UnknownSuite, UnsupportedFormat
+from jackcc.errors import (
+    DegreeTooSmall, JackccError, UnknownSuite, UnsupportedFormat,
+)
 from jackcc.jack import JackTable, jack_table
 
 
@@ -49,12 +51,8 @@ def test_run_suite_defaults_and_unknown():
     assert report.n_range == (2, 2)
     with pytest.raises(UnknownSuite):
         run_suite("spectral")
-
-
-def test_run_suite_threads_agree():
-    serial = run_suite("thm-rec", max_n=3)
-    parallel = run_suite("thm-rec", max_n=3, threads=4)
-    assert serial.checks == parallel.checks
+    with pytest.raises(DegreeTooSmall):
+        run_suite("i-indep", max_n=1)
 
 
 def test_partitions_text(capsys):
@@ -245,6 +243,30 @@ def test_max_n_admits_its_own_degree(argv, capsys):
     assert out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "orthogonality", "--max-n", "0"],
+    ["verify", "--suite", "thm34", "--max-n", "-3"],
+    ["verify", "--suite", "thm-rec", "--max-n", "1"],
+    ["verify", "--suite", "i-indep", "--max-n", "1"],
+    ["partitions", "0", "--max-n", "0"],
+    ["jack", "--n", "1", "--max-n", "0"],
+    ["connect", "--lambda", "1", "--with", "1", "--max-n", "-1"],
+    ["connect-nn", "--n", "1", "--max-n", "0"],
+    ["connect-lr", "--lambda", "1", "--l", "2", "--max-n", "0"],
+    ["matchings", "--lambda", "1", "--max-n", "0"],
+    ["matchings", "--lambda", "3", "--limit", "-1"],
+])
+def test_bound_below_what_runs(argv, capsys):
+    assert main(argv) == 2
+    assert _one_error_line(capsys.readouterr())
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--suite", "thm-rec", "--threads", "2"])
+    assert exit_info.value.code == 2
+
+
 def test_partitions_within_max_n(capsys):
     code, out = run(capsys, ["partitions", "5", "--max-n", "5"])
     assert code == 0
@@ -315,15 +337,28 @@ def test_input_checks_in_optimized_mode():
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+def _is_thread_import(node):
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return False
+    return any(name.split(".")[0] in ("threading", "concurrent") for name in names)
+
+
 def test_no_assert_in_package_source():
-    # python -O strips assert statements, so no check may live in one
+    # python -O strips assert statements, so no check may live in one; and
+    # the package runs serially, so it imports neither threading nor
+    # concurrent.futures
     src = os.path.dirname(os.path.abspath(jackcc.__file__))
     found = []
     for path in sorted(glob.glob(os.path.join(src, "*.py"))):
         with open(path, encoding="utf-8") as handle:
             tree = ast.parse(handle.read(), filename=path)
         found += ["%s:%d" % (os.path.basename(path), node.lineno)
-                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert) or _is_thread_import(node)]
     assert found == []
 
 

@@ -6,19 +6,20 @@ import pytest
 from jackcc.algebra import ALPHA, AlphaPoly, RatFunc
 from jackcc.cli import main
 from jackcc.errors import DegreeMismatch, DegreeTooLarge
-from jackcc.jack import JackTable, inner_product, jack_in_p, jack_table
+from jackcc.jack import JackTable, inner_product, jack_table
 from jackcc.partitions import (
     Partition, eigenvalue, generate_partitions, hooks, theta_top,
 )
-from jackcc.psum import PSumVector, apply_D, p_to_m, psum_unit
+from jackcc.psum import PSumVector, apply_D, p_to_m, psum_unit, transition_matrix
 
 P = Partition
 
 
 def test_degree_two_rows():
-    assert jack_in_p(P([2])) == PSumVector(
+    table = jack_table(2)
+    assert table.row(P([2])) == PSumVector(
         2, {P([1, 1]): 1, P([2]): ALPHA})
-    assert jack_in_p(P([1, 1])) == PSumVector(
+    assert table.row(P([1, 1])) == PSumVector(
         2, {P([1, 1]): 1, P([2]): -1})
 
 
@@ -31,14 +32,14 @@ def test_degree_one_table():
 def test_eigen_relation():
     for n in range(1, 6):
         for lam in generate_partitions(n):
-            v = jack_in_p(lam)
+            v = jack_table(n).row(lam)
             assert apply_D(v) == v.scale(eigenvalue(lam))
 
 
 def test_normalization_pair():
     for n in range(1, 6):
         for lam in generate_partitions(n):
-            v = jack_in_p(lam)
+            v = jack_table(n).row(lam)
             assert v.coeff(P([1] * n)) == RatFunc(1)
             assert p_to_m(v).coeff(lam) == RatFunc(hooks(lam)[0])
 
@@ -92,8 +93,8 @@ def test_orthogonality():
 
 
 def test_hand_checked_inner_products():
-    j2 = jack_in_p(P([2]))
-    j11 = jack_in_p(P([1, 1]))
+    j2 = jack_table(2).row(P([2]))
+    j11 = jack_table(2).row(P([1, 1]))
     assert inner_product(j2, j11).is_zero
     want = 2 * ALPHA ** 2 * (ALPHA + 1)
     assert inner_product(j2, j2) == RatFunc(want)
@@ -101,11 +102,22 @@ def test_hand_checked_inner_products():
 
 
 def test_degree_bound(monkeypatch):
+    # a cached degree is still refused once the bound drops below it
+    monkeypatch.delenv("JACKCC_MAX_N", raising=False)
+    assert jack_table(5).n == 5
     monkeypatch.setenv("JACKCC_MAX_N", "4")
     with pytest.raises(DegreeTooLarge):
         jack_table(5)
     monkeypatch.delenv("JACKCC_MAX_N")
     assert jack_table(5).n == 5
+
+
+def test_transition_degree_bound(monkeypatch):
+    monkeypatch.delenv("JACKCC_MAX_N", raising=False)
+    assert len(transition_matrix(5)) == 7
+    monkeypatch.setenv("JACKCC_MAX_N", "4")
+    with pytest.raises(DegreeTooLarge):
+        transition_matrix(5)
 
 
 def test_table_json_round_trip():

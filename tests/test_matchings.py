@@ -237,11 +237,6 @@ def test_broken_invariants_raise_typed_errors(monkeypatch):
         enumerate_good(P([3]))
 
 
-def test_threaded_enumeration_is_identical():
-    for lam in (P([4]), P([3, 2]), P([2, 2, 1])):
-        assert enumerate_good(lam, threads=3) == enumerate_good(lam)
-
-
 def test_counting_recurrences():
     for n in range(2, 7):
         for lam in generate_partitions(n):

@@ -7,7 +7,7 @@ from jackcc.algebra import ALPHA, AlphaPoly
 from jackcc.errors import DegreeMismatch, DegreeTooLarge, MissingPart, NegativeOrder
 from jackcc.partitions import (
     Partition, down_k, down_kl, eigenvalue, generate_partitions, hook_factors,
-    hooks, leq_dominance, modify, theta_top, up_k, up_kl, z_aut_class,
+    hooks, leq_dominance, theta_top, up_k, up_kl, z_aut_class,
 )
 
 
@@ -61,9 +61,6 @@ def test_modify_examples():
     assert up_kl(Partition([4]), 1, 2) == (2, 1)
     assert down_k(Partition([2, 1]), 1) == (2,)
     assert up_k(Partition([2, 1]), 2) == (3, 1)
-    assert modify(Partition([3, 2]), "down_kl", 3, 2) == (4,)
-    with pytest.raises(ValueError):
-        modify(Partition([2]), "sideways", 2)
 
 
 def test_modify_missing_parts():

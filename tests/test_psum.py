@@ -1,7 +1,6 @@
 import json
 import math
 import random
-import threading
 
 import pytest
 
@@ -151,18 +150,6 @@ def test_round_trip_random_vectors():
         assert m_to_p(p_to_m(v)) == v
         w = MonomialVector(n, {mu: rng.randint(-9, 9) for mu in parts})
         assert p_to_m(m_to_p(w)) == w
-
-
-def test_transition_cache_is_shared():
-    results = []
-    def grab():
-        results.append(transition_matrix(5))
-    threads = [threading.Thread(target=grab) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r is results[0] for r in results)
 
 
 def test_json_round_trip():
