@@ -14,7 +14,7 @@ import sys
 import time
 from typing import NamedTuple, Optional
 
-from .algebra import RatFunc, substitute_beta
+from .algebra import substitute_beta
 from .connection import (
     CoeffResult, a_cauchy, a_lr, a_nn_recurrence, generator_properties,
     verify_i_independence, verify_thm_rec,
@@ -177,7 +177,7 @@ def _checks_orthogonality(max_n):
             def run(lam=lam, n=n):
                 table = jack_table(n)
                 got = inner_product(table.row(lam), table.row(lam))
-                want = RatFunc(hooks(lam)[2])
+                want = hooks(lam)[2]
                 return got == want, got.to_text(), want.to_text()
 
             out.append((desc, run))
@@ -360,7 +360,7 @@ def _cmd_connect_nn(args):
             return Table(("lambda", "beta"), (row,),
                          json_obj={"lambda": lam.to_text(),
                                    "beta": beta.to_json()}), 0
-        return _coeff_table(lam.to_text(), RatFunc(poly)), 0
+        return _coeff_table(lam.to_text(), poly), 0
     rows = []
     obj = []
     for lam in generate_partitions(args.n):

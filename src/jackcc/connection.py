@@ -22,7 +22,7 @@ from .partitions import (
     Partition, down_k, down_kl, generate_partitions, hook_factors, up_k,
     up_kl, z_aut_class,
 )
-from .psum import _alpha_delta, apply_D, psum_unit
+from .psum import apply_D, apply_alpha_Delta, psum_unit
 
 __all__ = [
     "CoeffResult", "a_cauchy", "a_nn_recurrence", "verify_i_independence",
@@ -83,11 +83,11 @@ def _cauchy_cached(lam1, others):
     common, cofactors = _cauchy_cofactors(n)
     total = AlphaPoly()
     for gamma, cofactor in cofactors.items():
-        product = table.theta(gamma, lam1).as_poly()
+        product = table.theta(gamma, lam1)
         for other in others:
             if product.is_zero:
                 break
-            product = product * table.theta(gamma, other).as_poly()
+            product = product * table.theta(gamma, other)
         if not product.is_zero:
             total = total + product * cofactor
     z = z_aut_class(lam1)[0]
@@ -133,7 +133,6 @@ def _bracket(lam, pos, coefficient_of):
     return total
 
 
-@lru_cache(maxsize=None)
 def a_nn_recurrence(lam):
     """The coefficient on two full cycles, by one-box part surgery.
 
@@ -143,9 +142,18 @@ def a_nn_recurrence(lam):
     lam = _as_partition(lam)
     if not lam:
         raise EmptyPartition("the recurrence starts at the partition (1)")
+    check_degree(lam.n)
+    return _a_nn(lam)
+
+
+@lru_cache(maxsize=None)
+def _a_nn(lam):
     if lam == Partition([1]):
         return AlphaPoly(1)
-    return _bracket(lam, 0, a_nn_recurrence)
+    return _bracket(lam, 0, _a_nn)
+
+
+a_nn_recurrence.cache_info = _a_nn.cache_info
 
 
 def verify_i_independence(lam):
@@ -231,7 +239,7 @@ def _tower(l, n):
     """
     if n == 1:
         return psum_unit(Partition([1]))
-    return _alpha_delta(l, _tower(l, n - 1))
+    return apply_alpha_Delta(l, _tower(l, n - 1))
 
 
 @lru_cache(maxsize=None)
@@ -250,7 +258,7 @@ def a_lr(lam, l, r=0):
     if n == 0:
         raise EmptyPartition("the operator tower starts at degree 1")
     check_degree(n)
-    readout = _tower_with_D(l, r, n).coeff(lam).as_poly()
+    readout = _tower_with_D(l, r, n).coeff(lam)
     z = z_aut_class(lam)[0]
     # readout * z alpha^len / (n! alpha^n), with alpha^len cancelled first
     den = AlphaPoly((0,) * (n - len(lam)) + (math.factorial(n),))

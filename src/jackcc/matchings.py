@@ -156,7 +156,6 @@ def _search(partner, gend, bend, free, out):
         partner[a] = partner[v] = 0
 
 
-@lru_cache(maxsize=None)
 def good_matchings(lam):
     """All good matchings in lexicographic partner order.
 
@@ -167,6 +166,11 @@ def good_matchings(lam):
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     check_degree(lam.n)
+    return _good_matchings(lam)
+
+
+@lru_cache(maxsize=None)
+def _good_matchings(lam):
     graph = build_canonical(lam)
     size = 2 * lam.n
     gend = [0] + [graph.gray.of(v) for v in range(1, size + 1)]
@@ -175,6 +179,9 @@ def good_matchings(lam):
     _search([0] * (size + 1), gend, bend, size, out)
     return tuple(Matching(((v, p[v]) for v in range(1, size + 1) if v < p[v]),
                           size) for p in out)
+
+
+good_matchings.cache_info = _good_matchings.cache_info
 
 
 def _surgery(graph, a, v):
@@ -370,12 +377,19 @@ def enumerate_good(lam):
 def weight_distribution(lam):
     """Generating polynomial of the weight statistic over good matchings."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
+    check_degree(lam.n)
     return _generating_poly(_weight_table(lam).values())
 
 
-@lru_cache(maxsize=None)
 def bipartite_count(lam):
     """Number of good matchings of lam whose edges all mix parities."""
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    check_degree(lam.n)
+    return _bipartite_count(lam)
+
+
+@lru_cache(maxsize=None)
+def _bipartite_count(lam):
     return sum(1 for m in good_matchings(lam) if is_bipartite(m))
 
 

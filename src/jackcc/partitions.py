@@ -84,12 +84,16 @@ class BoxStats(NamedTuple):
     coleg: int
 
 
-@lru_cache(maxsize=None)
 def generate_partitions(n):
     """All partitions of n in reverse-lexicographic order, largest first."""
     if n < 0:
         raise NegativeOrder("no partitions of the negative weight %d" % n)
     check_degree(n)
+    return _generate_partitions(n)
+
+
+@lru_cache(maxsize=None)
+def _generate_partitions(n):
     out = []
 
     def rec(rem, maxpart, prefix):
@@ -103,6 +107,9 @@ def generate_partitions(n):
 
     rec(n, n, [])
     return tuple(out)
+
+
+generate_partitions.cache_info = _generate_partitions.cache_info
 
 
 def z_aut_class(lam):

@@ -1,16 +1,19 @@
 """Homogeneous symmetric functions on the power-sum and monomial bases.
 
-Vectors are sparse maps from partitions of a fixed degree to RatFunc
-coefficients.  The differential operators rewrite partition keys directly:
+Vectors are sparse maps from partitions of a fixed degree to AlphaPoly
+coefficients: Jack characters, D and the alpha-scaled bracket tower are all
+polynomial in alpha, and a coefficient with a denominator raises
+NotPolynomial.  The differential operators rewrite partition keys directly:
 d/dp_i applied to a monomial with m_i parts of size i contributes the
 factor m_i and removes one part, so every operator below reduces to
 integer multiplicity bookkeeping on the key.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .algebra import ALPHA, RatFunc
+from .algebra import ALPHA, AlphaPoly, RatFunc, _require_poly
 from .config import check_degree
 from .errors import DegreeMismatch, NegativeOrder
 from .partitions import Partition, generate_partitions
@@ -19,16 +22,11 @@ __all__ = [
     "PSumVector", "MonomialVector", "psum_unit",
     "apply_N", "apply_U", "apply_S", "apply_D",
     "apply_E2", "apply_E2perp", "multiply_p1", "apply_p1perp",
-    "apply_DE2_commutator", "apply_Delta",
+    "apply_DE2_commutator", "apply_alpha_Delta",
     "p_to_m", "m_to_p", "transition_matrix",
 ]
 
-_ZERO = RatFunc(0)
-_ALPHA_RF = RatFunc(ALPHA)
-
-
-def _coeff(x):
-    return x if isinstance(x, RatFunc) else RatFunc(x)
+_ZERO = AlphaPoly()
 
 
 class _GradedVector:
@@ -45,7 +43,7 @@ class _GradedVector:
             if mu.n != degree:
                 raise DegreeMismatch(
                     "key %s in a degree-%d vector" % (mu.to_text(), degree))
-            c = _coeff(c)
+            c = _require_poly(c)
             if not c.is_zero:
                 table[mu] = table.get(mu, _ZERO) + c
         self.terms = {mu: c for mu, c in table.items() if not c.is_zero}
@@ -78,7 +76,7 @@ class _GradedVector:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = _coeff(c)
+        c = _require_poly(c)
         return type(self)(
             self.degree, {mu: v * c for mu, v in self.terms.items()})
 
@@ -105,7 +103,7 @@ class PSumVector(_GradedVector):
 
     def to_json(self):
         return {"degree": self.degree,
-                "terms": [{"mu": mu.to_text(), "coeff": c.to_json()}
+                "terms": [{"mu": mu.to_text(), "coeff": RatFunc(c).to_json()}
                           for mu, c in self.items()]}
 
     @classmethod
@@ -255,11 +253,13 @@ def apply_DE2_commutator(v):
     return PSumVector(v.degree + 1, out)
 
 
-def _alpha_delta(l, v):
-    """alpha Delta_l(v): the binomial sum of apply_Delta without its 1/alpha.
+def apply_alpha_Delta(l, v):
+    """alpha times Delta_l(v), Delta_l = [D, [D, ... [D, p1/alpha]]] (l brackets).
 
-    Polynomial coefficients stay polynomial, so the tower in connection
-    grows alpha^n times its stages without a single gcd.
+    The factor alpha clears the 1/alpha of p1/alpha, so polynomial
+    coefficients stay polynomial.  Expanded binomially, alpha Delta_l(v)
+    is sum_{k=0..l} C(l,k) (-1)^(l-k) D^k(p1 * D^(l-k) v), so only l+1
+    summands and at most l D-applications each are needed.
     """
     if l < 0:
         raise NegativeOrder("negative bracket depth %d" % l)
@@ -273,16 +273,6 @@ def _alpha_delta(l, v):
             term = apply_D(term)
         total = total + term.scale(comb(l, k) * (-1) ** (l - k))
     return total
-
-
-def apply_Delta(l, v):
-    """The iterated bracket Delta_l = [D, [D, ... [D, p1/alpha]]] (l brackets).
-
-    Expanded binomially: alpha Delta_l(v) equals
-    sum_{k=0..l} C(l,k) (-1)^(l-k) D^k(p1 * D^(l-k) v),
-    so only l+1 summands and at most l D-applications each are needed.
-    """
-    return _alpha_delta(l, v).scale(RatFunc(1, ALPHA))
 
 
 def _expand_in_monomials(mu, n):
@@ -361,5 +351,5 @@ def m_to_p(w):
             if entry:
                 residue = residue - known * entry
         if not residue.is_zero:
-            solved[lam] = residue / matrix[lam][lam]
+            solved[lam] = residue * Fraction(1, matrix[lam][lam])
     return PSumVector(w.degree, solved)

@@ -207,6 +207,7 @@ def test_empty_partition(argv, capsys):
     ["partitions", "60", "--max-n", "5"],
     ["partitions", "6", "--max-n", "5"],
     ["partitions", "-1"],
+    ["connect-nn", "--lambda", "9"],
 ])
 def test_partitions_degree_bound(argv, capsys, monkeypatch):
     monkeypatch.delenv("JACKCC_MAX_N", raising=False)

@@ -4,6 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import jackcc.connection
+import jackcc.jack
+import jackcc.psum
 from jackcc.algebra import ALPHA, AlphaPoly, RatFunc, substitute_beta
 from jackcc.connection import (
     CoeffResult, a_cauchy, a_lr, a_nn_recurrence, generator_properties, remark_identities, verify_i_independence,
@@ -12,7 +15,7 @@ from jackcc.connection import (
 from jackcc.errors import DegreeMismatch, EmptyPartition
 from jackcc.jack import jack_table
 from jackcc.partitions import Partition, generate_partitions, hooks, z_aut_class
-from jackcc.psum import PSumVector, apply_Delta
+from jackcc.psum import PSumVector, apply_alpha_Delta, psum_unit
 
 P = Partition
 
@@ -129,18 +132,19 @@ def test_lr_degenerate_l1():
 
 
 def test_gamma_tower():
-    # the normalized tower: each stage is apply_Delta over its new degree
-    g1 = PSumVector(1, {P([1]): RatFunc(1, ALPHA)})
-    assert (apply_Delta(1, g1).scale(Fraction(1, 2))
-            == PSumVector(2, {P([2]): RatFunc(1, 2 * ALPHA)}))
-    g2 = apply_Delta(2, g1).scale(Fraction(1, 2))
-    want = PSumVector(2, {P([2]): RatFunc(ALPHA - 1, 2 * ALPHA),
-                          P([1, 1]): RatFunc(1, 2 * ALPHA)})
+    # the normalized tower grown from p_1/alpha, times alpha^n at degree n:
+    # each stage is apply_alpha_Delta over its new degree
+    g1 = psum_unit(P([1]))
+    assert (apply_alpha_Delta(1, g1).scale(Fraction(1, 2))
+            == PSumVector(2, {P([2]): ALPHA * Fraction(1, 2)}))
+    g2 = apply_alpha_Delta(2, g1).scale(Fraction(1, 2))
+    want = PSumVector(2, {P([2]): ALPHA * (ALPHA - 1) * Fraction(1, 2),
+                          P([1, 1]): ALPHA * Fraction(1, 2)})
     assert g2 == want
-    g3 = apply_Delta(2, g2).scale(Fraction(1, 3))
+    g3 = apply_alpha_Delta(2, g2).scale(Fraction(1, 3))
     readout = g3.coeff(P([3]))
     z = z_aut_class(P([3]))[0]
-    recovered = readout * RatFunc(z * ALPHA)
+    recovered = RatFunc(readout * z * ALPHA, ALPHA ** 3)
     assert recovered == RatFunc(a_nn_recurrence(P([3])))
 
 
@@ -228,3 +232,27 @@ def test_cauchy_matches_per_gamma_oracle():
             for mu in parts:
                 want = _per_gamma_cauchy(lam, (P([n]), mu))
                 assert a_cauchy(lam, [P([n]), mu]) == want, (lam, mu)
+
+
+def test_jack_tables_and_towers_build_no_rational_functions(monkeypatch):
+    """Characters and tower stages are polynomials end to end: a cold
+    jack_table makes no RatFunc, and a_lr makes one, for its readout,
+    even when it grows the tower."""
+    jackcc.jack._build_table.cache_clear()
+    jackcc.psum._transition.cache_clear()
+    jackcc.connection._tower.cache_clear()
+    jackcc.connection._tower_with_D.cache_clear()
+    made = []
+    init = RatFunc.__init__
+
+    def counting(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting)
+    jack_table(6)
+    assert not made
+    for lam in generate_partitions(6):
+        made.clear()
+        a_lr(lam, 2, 0)
+        assert len(made) == 1, lam

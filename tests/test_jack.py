@@ -59,7 +59,7 @@ def test_characters_are_polynomials():
         table = jack_table(n)
         for lam in generate_partitions(n):
             for c in table.row(lam).terms.values():
-                assert c.is_polynomial
+                assert all(type(x) is int for x in c.coeffs)
 
 
 def test_collision_rows_are_distinct():
@@ -134,7 +134,7 @@ def test_alpha_one_specializes_to_power_sum_symmetrics():
     table = jack_table(4)
     for lam in generate_partitions(4):
         ones = table.theta(lam, P([1, 1, 1, 1]))
-        assert ones.eval_at(1) == 1
+        assert ones(1) == 1
 
 
 # sha256 of `jackcc jack --n k --format json`, recorded from the
