@@ -279,7 +279,16 @@ class RatFunc:
         if num.is_zero:
             self.num, self.den = AlphaPoly(), ONE
             return
-        if den.degree > 0:
+        if den.degree > 0 and not any(den.coeffs[:-1]):
+            # den = c a^d: the gcd is a^k, k the smaller of d and the
+            # order of num at 0, so both drop their first k coefficients
+            k = 0
+            while k < den.degree and not num.coeffs[k]:
+                k += 1
+            if k:
+                num = AlphaPoly(num.coeffs[k:])
+                den = AlphaPoly(den.coeffs[k:])
+        elif den.degree > 0:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num = num.exact_div(g)

@@ -47,36 +47,49 @@ def _as_partition(p):
     return p if isinstance(p, Partition) else Partition(p)
 
 
-def _linear_product(shifts):
+def _linear_product(factors):
     out = AlphaPoly(1)
-    for s, m in sorted(shifts.items()):
-        out = out * AlphaPoly((s, 1)) ** m
+    for (p, q), m in sorted(factors.items()):
+        out = out * AlphaPoly((p, q)) ** m
     return out
 
 
 @lru_cache(maxsize=None)
 def _cauchy_cofactors(n):
-    """The lcm L of the j_gamma over gamma of n, and every L/j_gamma.
+    """An integer common denominator D of the j_gamma over gamma of n, and
+    every cofactor D/j_gamma, all integer polynomials.
 
-    Each j_gamma is a constant times monic linear factors, so L takes every
-    factor to its largest multiplicity and L/j_gamma is the product of the
-    factors j_gamma leaves over, divided by its constant.
+    Each monic factor a + p/q of j_gamma is taken as the primitive integer
+    factor q*a + p, so j_gamma is a rational c_gamma times these factors.
+    D is K times their lcm L, which takes every factor to its largest
+    multiplicity, with K the lcm of the numerators of the c_gamma; so
+    D/j_gamma is the integer K/c_gamma times the factors j_gamma leaves over.
     """
-    factored = {gamma: hook_factors(gamma) for gamma in generate_partitions(n)}
+    factored = {}
+    for gamma in generate_partitions(n):
+        const, shifts = hook_factors(gamma)
+        factors = Counter({(s.numerator, s.denominator): m
+                           for s, m in shifts.items()})
+        const = Fraction(const, math.prod(q ** m for (_, q), m in factors.items()))
+        factored[gamma] = (const, factors)
     common = Counter()
-    for _, shifts in factored.values():
-        common |= shifts
-    cofactors = {gamma: _linear_product(common - shifts) * Fraction(1, const)
-                 for gamma, (const, shifts) in factored.items()}
-    return _linear_product(common), cofactors
+    scale = 1
+    for const, factors in factored.values():
+        common |= factors
+        scale = math.lcm(scale, const.numerator)
+    cofactors = {gamma: _linear_product(common - factors)
+                 * (scale * const.denominator // const.numerator)
+                 for gamma, (const, factors) in factored.items()}
+    return _linear_product(common) * scale, cofactors
 
 
 @lru_cache(maxsize=None)
 def _cauchy_cached(lam1, others):
-    """Sum every term over the common denominator L, then reduce once.
+    """Sum every term over the common denominator D, then reduce once.
 
-    The characters are polynomials, so each term is a polynomial times its
-    cofactor L/j_gamma and the only gcd is the one of the final quotient.
+    The characters and the cofactors D/j_gamma are integer polynomials, so
+    the sum is integer arithmetic and the only gcd is the one of the final
+    quotient.
     """
     n = lam1.n
     table = jack_table(n)
@@ -159,6 +172,7 @@ a_nn_recurrence.cache_info = _a_nn.cache_info
 def verify_i_independence(lam):
     """True when every pivot part yields the identical bracket value."""
     lam = _as_partition(lam)
+    check_degree(lam.n)
     seen = set()
     values = []
     for pos, part in enumerate(lam):
@@ -244,6 +258,8 @@ def _tower(l, n):
 
 @lru_cache(maxsize=None)
 def _tower_with_D(l, r, n):
+    """D applied r times to the tower stage; a_lr fills r upward from 0,
+    so each call finds stage r-1 cached and recurses one level at most."""
     if r == 0:
         return _tower(l, n)
     return apply_D(_tower_with_D(l, r - 1, n))
@@ -258,6 +274,8 @@ def a_lr(lam, l, r=0):
     if n == 0:
         raise EmptyPartition("the operator tower starts at degree 1")
     check_degree(n)
+    for stage in range(r):
+        _tower_with_D(l, stage, n)
     readout = _tower_with_D(l, r, n).coeff(lam)
     z = z_aut_class(lam)[0]
     # readout * z alpha^len / (n! alpha^n), with alpha^len cancelled first

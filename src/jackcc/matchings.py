@@ -322,6 +322,7 @@ def _weight_table(lam):
 def weight(lam, delta):
     """Count the unhatted partners met while deleting vertex 1 down to (1)."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
+    check_degree(lam.n)
     graph = build_canonical(lam)
     single = Partition([lam.n])
     if (union_cycle_type(graph.gray, delta) != single

@@ -192,6 +192,13 @@ def _one_error_line(captured):
             and captured.err.count("\n") == 1)
 
 
+def test_connect_lr_with_many_D_stages(capsys):
+    code, out = run(capsys, ["connect-lr", "--lambda", "1", "--l", "2",
+                             "--r", "5000"])
+    assert code == 0
+    assert out.split() == ["1", "0", "0"]
+
+
 @pytest.mark.parametrize("argv", [
     ["matchings", "--lambda", "-"],
     ["connect-nn", "--lambda", "-"],

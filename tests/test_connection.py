@@ -116,6 +116,28 @@ def test_three_routes_agree_at_degree_8():
         assert a_lr(lam, 2, 0) == want, lam
 
 
+def test_three_routes_agree_at_degree_10(monkeypatch):
+    monkeypatch.setenv("JACKCC_MAX_N", "10")
+    full = P([10])
+    for lam in generate_partitions(10):
+        want = RatFunc(a_nn_recurrence(lam))
+        assert a_cauchy(lam, [full, full]) == want, lam
+        assert a_lr(lam, 2, 0) == want, lam
+
+
+def test_cauchy_cofactors_are_integer_polynomials():
+    for n in range(0, 9):
+        common, cofactors = jackcc.connection._cauchy_cofactors(n)
+        polys = [common, *cofactors.values()]
+        assert all(type(c) is int for p in polys for c in p.coeffs), n
+        for gamma, cofactor in cofactors.items():
+            assert hooks(gamma)[2] * cofactor == common, gamma
+
+
+def test_D_tower_depth_is_not_bounded_by_the_stack():
+    assert a_lr(P([1]), 2, 1200).is_zero
+
+
 def test_routes_that_need_a_box_reject_the_empty_partition():
     assert a_cauchy(P([]), [P([]), P([])]) == RatFunc(1)
     with pytest.raises(EmptyPartition):

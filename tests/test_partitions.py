@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from jackcc.algebra import ALPHA, AlphaPoly
-from jackcc.connection import a_nn_recurrence
+from jackcc.connection import a_nn_recurrence, verify_i_independence
 from jackcc.errors import DegreeMismatch, DegreeTooLarge, MissingPart, NegativeOrder
-from jackcc.matchings import bipartite_count, good_matchings, weight_distribution
+from jackcc.matchings import bipartite_count, good_matchings, weight, weight_distribution
 from jackcc.partitions import (
     Partition, down_k, down_kl, eigenvalue, generate_partitions, hook_factors,
     hooks, leq_dominance, theta_top, up_k, up_kl, z_aut_class,
@@ -48,15 +48,17 @@ def test_generate_rejects_bad_weights(monkeypatch):
 
 @pytest.mark.parametrize("entry", [
     generate_partitions, good_matchings, weight_distribution,
-    a_nn_recurrence, bipartite_count,
+    a_nn_recurrence, bipartite_count, verify_i_independence, weight,
 ], ids=lambda fn: fn.__name__)
 def test_warm_cache_still_enforces_the_bound(entry, monkeypatch):
     monkeypatch.delenv("JACKCC_MAX_N", raising=False)
-    arg = 5 if entry is generate_partitions else Partition([5])
-    entry(arg)
+    lam = Partition([5])
+    args = {generate_partitions: (5,),
+            weight: (lam, good_matchings(lam)[-1])}.get(entry, (lam,))
+    entry(*args)
     monkeypatch.setenv("JACKCC_MAX_N", "4")
     with pytest.raises(DegreeTooLarge):
-        entry(arg)
+        entry(*args)
 
 
 def test_class_sizes_partition_the_group():

@@ -5,6 +5,7 @@ Fraction; the oracle below redoes every operation on plain Fraction lists.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -12,6 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given
 from hypothesis import strategies as st
 
+import jackcc.algebra
 from jackcc.algebra import ONE, AlphaPoly, RatFunc, eval_at, poly_gcd
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -178,3 +180,39 @@ def test_float_coefficients_are_refused():
         AlphaPoly([1, 0.5])
     with pytest.raises(TypeError):
         AlphaPoly((1, 1)).shift(1.0)
+
+
+# ---- monomial denominators c*a^d, reduced without Euclid ----
+
+def _reduce_by_gcd(num, den):
+    g = poly_gcd(num, den)
+    num, den = num.exact_div(g), den.exact_div(g)
+    return num * Fraction(1, den.leading), den.monic()
+
+
+@st.composite
+def _over_monomial(draw, relation):
+    """(num, d) with num's order at 0 below, equal to or above d >= 1."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    order = {"below": st.integers(min_value=0, max_value=d - 1),
+             "equal": st.just(d),
+             "above": st.integers(min_value=d + 1, max_value=d + 3)}[relation]
+    head = draw(st.one_of(st.integers(min_value=-30, max_value=30), nonzero)
+                .filter(bool))
+    tail = draw(raw_polys)
+    return AlphaPoly([0] * draw(order) + [head] + tail), d
+
+
+@pytest.mark.parametrize("relation", ["below", "equal", "above"])
+@given(data=st.data())
+def test_monomial_denominator_matches_the_gcd_reduction(relation, data):
+    num, d = data.draw(_over_monomial(relation))
+    c = data.draw(st.one_of(st.integers(min_value=-30, max_value=30), nonzero)
+                  .filter(bool))
+    den = AlphaPoly([0] * d + [c])
+    want_num, want_den = _reduce_by_gcd(num, den)
+    with mock.patch.object(jackcc.algebra, "poly_gcd",
+                           side_effect=AssertionError("Euclid called")):
+        r = RatFunc(num, den)
+    assert _stored(r.num) == want_num.coeffs
+    assert _stored(r.den) == want_den.coeffs
