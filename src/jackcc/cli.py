@@ -25,7 +25,7 @@ from .errors import (
 )
 from .jack import inner_product, jack_table
 from .matchings import (
-    bipartite_count, counting_recurrence_check, enumerate_good, good_matchings,
+    bipartite_count, counting_recurrence_check, enumerate_good, good_count,
     weight_distribution,
 )
 from .partitions import Partition, generate_partitions, hooks, z_aut_class
@@ -204,7 +204,7 @@ def _checks_comb_rec(max_n):
             desc_c = "c(%s) = %d" % (lam.to_text(), bip_want)
 
             def run_b(lam=lam, want=good_want):
-                got = len(good_matchings(lam))
+                got = good_count(lam)
                 return got == want, str(got), str(want)
 
             def run_c(lam=lam, want=bip_want):

@@ -58,6 +58,10 @@ class AdjacentPair(JackccError, ValueError):
     """Edge replacement asked for two vertices already joined by a graph edge."""
 
 
+class BadMatching(JackccError, ValueError):
+    """Pairs that do not form a fixed-point-free involution of the vertices 1..size."""
+
+
 class NotGoodMatching(JackccError, ValueError):
     """The matching does not turn both edge colours into a single cycle."""
 

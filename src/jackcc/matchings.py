@@ -9,6 +9,11 @@ all 2n vertices, and the weight statistic is defined by repeatedly
 deleting vertex 1 together with its matched partner.  One deletion already
 lands on a good matching of the reduced partition, so each partition's
 weights are computed once, from the reduced partitions' weight tables.
+
+The search keeps one store per partition: the partner tuples of its good
+matchings and one parity bit each.  The counts, the weights and the
+recurrence audit read that store; ``Matching`` objects are built only
+when the matchings themselves are listed.
 """
 
 from collections import Counter
@@ -18,15 +23,15 @@ from typing import NamedTuple
 from .algebra import AlphaPoly
 from .config import check_degree
 from .errors import (
-    AdjacentPair, BrokenInvariant, DegreeMismatch, EmptyPartition,
-    NotGoodMatching, UnmatchedPair,
+    AdjacentPair, BadMatching, BrokenInvariant, DegreeMismatch, EmptyPartition,
+    MissingPart, NotGoodMatching, UnmatchedPair,
 )
 from .partitions import Partition, down_k, down_kl, up_kl
 
 __all__ = [
     "Matching", "LambdaGraph", "WeightedMatchingSet", "MatchingEntry",
     "build_canonical", "union_cycle_type", "is_bipartite",
-    "good_matchings", "enumerate_good", "reduce", "weight",
+    "good_matchings", "good_count", "enumerate_good", "reduce", "weight",
     "weight_distribution", "bipartite_count", "counting_recurrence_check",
 ]
 
@@ -44,14 +49,29 @@ class Matching:
         pairs = tuple(pairs)
         if size is None:
             size = 2 * len(pairs)
+        vertices = range(1, size + 1)
         slots = [0] * (size + 1)
         for x, y in pairs:
+            if x not in vertices or y not in vertices:
+                raise BadMatching("pair (%r, %r) leaves the vertices 1..%d"
+                                  % (x, y, size))
             if x == y or slots[x] or slots[y]:
-                raise ValueError("not a fixed-point-free involution")
+                raise BadMatching("not a fixed-point-free involution")
             slots[x], slots[y] = y, x
         if 0 in slots[1:]:
-            raise ValueError("matching does not cover every vertex")
+            raise BadMatching("matching does not cover every vertex")
         self.partner = tuple(slots)
+
+    @classmethod
+    def _trusted(cls, partner):
+        """Wrap a partner tuple of the search without checking it.
+
+        The search pairs each vertex of 1..2n exactly once, both ways, so
+        every tuple it stores is already a fixed-point-free involution.
+        """
+        m = object.__new__(cls)
+        m.partner = partner
+        return m
 
     @property
     def size(self):
@@ -105,6 +125,7 @@ def union_cycle_type(m1, m2):
 
 
 def is_bipartite(delta):
+    """True when every edge of delta joins an unhatted vertex to a hatted one."""
     return all(v % 2 != delta.of(v) % 2 for v in range(1, delta.size + 1))
 
 
@@ -136,12 +157,19 @@ def build_canonical(lam):
     return LambdaGraph(lam, gray, black)
 
 
-def _search(partner, gend, bend, free, out):
-    a = next((v for v in range(1, len(partner)) if not partner[v]), None)
-    if a is None:
+def _search(partner, gend, bend, a, free, mixed, out, bits):
+    """Pair the smallest free vertex a with each allowed partner in turn.
+
+    gend and bend map each path end to the other end of its gray and black
+    path; free counts the unmatched vertices; mixed is 1 while every edge
+    chosen so far joins an unhatted vertex to a hatted one.
+    """
+    if not free:
         out.append(tuple(partner))
+        bits.append(mixed)
         return
-    for v in range(a + 1, len(partner)):
+    size = len(partner)
+    for v in range(a + 1, size):
         if partner[v]:
             continue
         if free > 2 and (gend[a] == v or bend[a] == v):
@@ -150,38 +178,48 @@ def _search(partner, gend, bend, free, out):
         ga, gv, ba, bv = gend[a], gend[v], bend[a], bend[v]
         gend[ga], gend[gv] = gv, ga
         bend[ba], bend[bv] = bv, ba
-        _search(partner, gend, bend, free - 2, out)
+        b = a + 1
+        while b < size and partner[b]:
+            b += 1
+        _search(partner, gend, bend, b, free - 2, mixed & (a ^ v), out, bits)
         gend[ga], gend[gv] = a, v
         bend[ba], bend[bv] = a, v
         partner[a] = partner[v] = 0
 
 
-def good_matchings(lam):
-    """All good matchings in lexicographic partner order.
+@lru_cache(maxsize=None)
+def _store(lam):
+    """The good matchings of lam: partner tuples and their parity bits.
 
-    The search matches the smallest free vertex first and rejects any edge
-    that would close a cycle in either colored union before the last
-    step; at the last step the single remaining path must close into the
-    full cycle, so every leaf reached is good.
+    The partner tuples come in lexicographic order; byte k of the bits is
+    1 when every edge of the k-th matching mixes parities.  The search
+    matches the smallest free vertex first and rejects any edge that would
+    close a cycle in either colored union before the last step; at the
+    last step the single remaining path must close into the full cycle,
+    so every leaf reached is good.
     """
+    graph = build_canonical(lam)
+    out, bits = [], []
+    _search([0] * (2 * lam.n + 1), list(graph.gray.partner),
+            list(graph.black.partner), 1, 2 * lam.n, 1, out, bits)
+    return tuple(out), bytes(bits)
+
+
+def good_matchings(lam):
+    """All good matchings in lexicographic partner order."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     check_degree(lam.n)
-    return _good_matchings(lam)
+    return tuple(map(Matching._trusted, _store(lam)[0]))
 
 
-@lru_cache(maxsize=None)
-def _good_matchings(lam):
-    graph = build_canonical(lam)
-    size = 2 * lam.n
-    gend = [0] + [graph.gray.of(v) for v in range(1, size + 1)]
-    bend = [0] + [graph.black.of(v) for v in range(1, size + 1)]
-    out = []
-    _search([0] * (size + 1), gend, bend, size, out)
-    return tuple(Matching(((v, p[v]) for v in range(1, size + 1) if v < p[v]),
-                          size) for p in out)
+good_matchings.cache_info = _store.cache_info
 
 
-good_matchings.cache_info = _good_matchings.cache_info
+def good_count(lam):
+    """Number of good matchings of lam."""
+    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    check_degree(lam.n)
+    return len(_store(lam)[0])
 
 
 def _surgery(graph, a, v):
@@ -298,14 +336,13 @@ def _weight_table(lam):
     """
     if not lam:
         raise EmptyPartition("the weight statistic needs at least one box")
-    goods = good_matchings(lam)
+    partners = _store(lam)[0]
     if lam.n == 1:
-        return {goods[0].partner: 0}
+        return {partners[0]: 0}
     graph = build_canonical(lam)
     steps = {}
     table = {}
-    for delta in goods:
-        p = delta.partner
+    for p in partners:
         step = steps.get(p[1])
         if step is None:
             reduced, mapping, _ = _reduce_graph(graph, 1, p[1])
@@ -348,10 +385,6 @@ class WeightedMatchingSet(NamedTuple):
     lam: Partition
     entries: tuple
 
-    @property
-    def bipartite_count(self):
-        return sum(1 for e in self.entries if e.bipartite)
-
     def distribution(self):
         return _generating_poly(e.weight for e in self.entries)
 
@@ -367,8 +400,9 @@ def enumerate_good(lam):
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     check_degree(lam.n)
     table = _weight_table(lam)
-    entries = tuple(MatchingEntry(m, table[m.partner], is_bipartite(m))
-                    for m in good_matchings(lam))
+    partners, mixed = _store(lam)
+    entries = tuple(MatchingEntry(Matching._trusted(p), table[p], bool(bit))
+                    for p, bit in zip(partners, mixed))
     if any((e.weight == 0) != e.bipartite for e in entries):
         raise BrokenInvariant("a weight of %s is 0 on a non-bipartite matching"
                               " or positive on a bipartite one" % lam.to_text())
@@ -386,12 +420,7 @@ def bipartite_count(lam):
     """Number of good matchings of lam whose edges all mix parities."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     check_degree(lam.n)
-    return _bipartite_count(lam)
-
-
-@lru_cache(maxsize=None)
-def _bipartite_count(lam):
-    return sum(1 for m in good_matchings(lam) if is_bipartite(m))
+    return sum(_store(lam)[1])
 
 
 def counting_recurrence_check(lam, i):
@@ -404,11 +433,17 @@ def counting_recurrence_check(lam, i):
     recurrence formulas.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
+    if i not in range(1, len(lam) + 1):
+        raise MissingPart("pivot %r is not a part index of %s, which has"
+                          " parts 1..%d" % (i, lam.to_text(), len(lam)))
+    check_degree(lam.n)
     graph = build_canonical(lam)
     root = 2 * sum(lam[:i - 1]) + 1
-    goods = good_matchings(lam)
-    buckets = Counter(m.of(root) for m in goods)
-    bip_buckets = Counter(m.of(root) for m in goods if is_bipartite(m))
+    partners, mixed = _store(lam)
+    good = len(partners)
+    bipartite = sum(mixed)
+    buckets = Counter(p[root] for p in partners)
+    bip_buckets = Counter(p[root] for p, bit in zip(partners, mixed) if bit)
     part = lam[i - 1]
     total_check = 0
     bip_check = 0
@@ -420,26 +455,26 @@ def counting_recurrence_check(lam, i):
                 return False
             continue
         reduced = _reduce_graph(graph, root, v)[0].lam
-        if buckets[v] != len(good_matchings(reduced)):
+        if buckets[v] != good_count(reduced):
             return False
         want_bip = bipartite_count(reduced) if v % 2 == 0 else 0
         if bip_buckets[v] != want_bip:
             return False
         total_check += buckets[v]
         bip_check += bip_buckets[v]
-    if total_check != len(goods) or bip_check != bipartite_count(lam):
+    if total_check != good or bip_check != bipartite:
         return False
     agg = 0
     bip_agg = 0
     if part >= 2:
-        agg += (part - 1) * len(good_matchings(down_k(lam, part)))
+        agg += (part - 1) * good_count(down_k(lam, part))
     for d in range(1, part - 1):
         split = up_kl(lam, part - 1 - d, d)
-        agg += len(good_matchings(split))
+        agg += good_count(split)
         bip_agg += bipartite_count(split)
     for j, other in enumerate(lam):
         if j != i - 1:
             merged = down_kl(lam, part, other)
-            agg += 2 * other * len(good_matchings(merged))
+            agg += 2 * other * good_count(merged)
             bip_agg += other * bipartite_count(merged)
-    return agg == len(goods) and bip_agg == bipartite_count(lam)
+    return agg == good and bip_agg == bipartite

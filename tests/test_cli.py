@@ -1,5 +1,6 @@
 import ast
 import glob
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import jackcc
+from jackcc import cli, matchings
 from jackcc.cli import Table, emit, main, run_suite
 from jackcc import errors
 from jackcc.errors import (
@@ -37,6 +39,17 @@ def test_run_suite_comb_rec_counts():
     assert "c(5) = 8" in descs
     assert "b~(3) = 4" in descs
     assert "bucket counts at 2,2,1" in descs
+
+
+def test_suites_list_no_matchings(monkeypatch):
+    def listing(lam):
+        raise AssertionError("a suite listed the good matchings of %s" % (lam,))
+
+    matchings._weight_table.cache_clear()
+    monkeypatch.setattr(matchings, "good_matchings", listing)
+    monkeypatch.setattr(cli, "good_matchings", listing, raising=False)
+    for suite in ("matchings-jack", "comb-rec"):
+        assert run_suite(suite, max_n=5).passed, suite
 
 
 def test_run_suite_orthogonality():
@@ -122,6 +135,29 @@ def test_matchings_listing(capsys):
     code, out = run(capsys, ["matchings", "--lambda", "2,1", "--limit", "2",
                              "--format", "json"])
     assert len(json.loads(out)) == 2
+
+
+# sha256 of `jackcc matchings --lambda L --weights --format json`, recorded
+# while every listing was still built from validated Matching objects.
+LISTING_SHA256 = {
+    "5": "c9d7e0944ad73b81fe755c0851265ac232ea1ea49671c87c2630398b77ae939a",
+    "4,1": "9f312b346b6bfa83a7bd6f99767fed3d057f37fcbe0aafc2f2f78642a48d8907",
+    "3,2": "1cf6b703a0020754fa206aa438fae83395e19a65c32f2cb28da6c88b9ac5e25f",
+    "3,1,1": "39a4cc5fd8d6e4fb4b5a38c109104c1f3f5b781212bff564349ce15a2ebbdaf1",
+    "2,2,1": "07b230a4bf8c87f88ebff124a7161547cc0569eb7964d5a65459630faed548fb",
+    "2,1,1,1": "fdc295a26aabbde44750a1f625c9a5d6ece9468232314662068657cc61485c9a",
+    "1,1,1,1,1": "d241ad694fe145b5def711abe56b258b167abd48fae6507bf1c48a70326a1e59",
+    "6": "3414692a96aaed928bbbd02e32b88f25d6369e639b585ba2e0b96f51b57c55a1",
+    "3,2,1": "4776700c70a32ba6449c38d7f254a3e65db957a50d7a10816355eb3d654aa663",
+}
+
+
+@pytest.mark.parametrize("lam", sorted(LISTING_SHA256))
+def test_matchings_listing_is_pinned(lam, capsys):
+    code, out = run(capsys, ["matchings", "--lambda", lam, "--weights",
+                             "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LISTING_SHA256[lam]
 
 
 def test_verify_exit_codes(capsys):

@@ -4,12 +4,14 @@ from jackcc.algebra import AlphaPoly, substitute_beta
 from jackcc.connection import a_nn_recurrence
 from jackcc import matchings
 from jackcc.errors import (
-    AdjacentPair, BrokenInvariant, DegreeMismatch, NotGoodMatching, UnmatchedPair,
+    AdjacentPair, BadMatching, BrokenInvariant, DegreeMismatch, MissingPart,
+    NotGoodMatching, UnmatchedPair,
 )
 from jackcc.matchings import (
     Matching, bipartite_count, build_canonical, counting_recurrence_check,
-    enumerate_good, good_matchings, is_bipartite, reduce, union_cycle_type,
-    weight, weight_distribution, _reduce_graph, _weight_table,
+    enumerate_good, good_count, good_matchings, is_bipartite, reduce,
+    union_cycle_type, weight, weight_distribution, _reduce_graph, _store,
+    _weight_table,
 )
 from jackcc.partitions import Partition, generate_partitions
 
@@ -66,6 +68,9 @@ def test_matching_basics():
         Matching([(1, 2), (1, 3)], 4)
     with pytest.raises(ValueError):
         Matching([(1, 2)], 4)
+    for pairs in ([(1, 5)], [(0, 1)], [(-1, 1)], [(1, 1.5)]):
+        with pytest.raises(BadMatching, match="leaves the vertices 1..2"):
+            Matching(pairs, 2)
 
 
 def test_canonical_graphs():
@@ -101,6 +106,17 @@ def test_good_counts_small_cases():
     assert len(good_matchings(P([5]))) == at_two
     bip5 = sum(1 for m in good_matchings(P([5])) if is_bipartite(m))
     assert bip5 == 8
+
+
+def test_stored_parity_bits_match_the_oracle():
+    for n in range(1, 7):
+        for lam in generate_partitions(n):
+            goods = good_matchings(lam)
+            partners, mixed = _store(lam)
+            assert partners == tuple(m.partner for m in goods), lam
+            assert list(mixed) == [int(is_bipartite(m)) for m in goods], lam
+            assert good_count(lam) == len(goods), lam
+            assert bipartite_count(lam) == sum(map(is_bipartite, goods)), lam
 
 
 def test_pruned_search_is_exhaustive():
@@ -232,7 +248,11 @@ def test_broken_invariants_raise_typed_errors(monkeypatch):
         patch.setattr(matchings, "union_cycle_type", lambda m1, m2: P([1]))
         with pytest.raises(BrokenInvariant):
             build_canonical(P([2, 1]))
-    monkeypatch.setattr(matchings, "is_bipartite", lambda delta: False)
+    # Warm the weight table first, so only enumerate_good reads the flipped bits.
+    _weight_table(P([3]))
+    partners, mixed = _store(P([3]))
+    flipped = (partners, bytes(1 - bit for bit in mixed))
+    monkeypatch.setattr(matchings, "_store", lambda lam: flipped)
     with pytest.raises(BrokenInvariant):
         enumerate_good(P([3]))
 
@@ -242,6 +262,12 @@ def test_counting_recurrences():
         for lam in generate_partitions(n):
             for i in range(1, len(lam) + 1):
                 assert counting_recurrence_check(lam, i), (lam, i)
+
+
+@pytest.mark.parametrize("i", [0, -1, 3])
+def test_counting_recurrence_rejects_bad_pivot(i):
+    with pytest.raises(MissingPart, match="pivot %d " % i):
+        counting_recurrence_check(P([2, 1]), i)
 
 
 def test_relabel_hat_preservation():

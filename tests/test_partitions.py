@@ -6,7 +6,9 @@ import pytest
 from jackcc.algebra import ALPHA, AlphaPoly
 from jackcc.connection import a_nn_recurrence, verify_i_independence
 from jackcc.errors import DegreeMismatch, DegreeTooLarge, MissingPart, NegativeOrder
-from jackcc.matchings import bipartite_count, good_matchings, weight, weight_distribution
+from jackcc.matchings import (
+    bipartite_count, good_count, good_matchings, weight, weight_distribution,
+)
 from jackcc.partitions import (
     Partition, down_k, down_kl, eigenvalue, generate_partitions, hook_factors,
     hooks, leq_dominance, theta_top, up_k, up_kl, z_aut_class,
@@ -47,7 +49,7 @@ def test_generate_rejects_bad_weights(monkeypatch):
 
 
 @pytest.mark.parametrize("entry", [
-    generate_partitions, good_matchings, weight_distribution,
+    generate_partitions, good_matchings, good_count, weight_distribution,
     a_nn_recurrence, bipartite_count, verify_i_independence, weight,
 ], ids=lambda fn: fn.__name__)
 def test_warm_cache_still_enforces_the_bound(entry, monkeypatch):
