@@ -49,6 +49,9 @@ class Matching:
         pairs = tuple(pairs)
         if size is None:
             size = 2 * len(pairs)
+        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+            raise BadMatching("matching size %r is not a non-negative integer"
+                              % (size,))
         vertices = range(1, size + 1)
         slots = [0] * (size + 1)
         for x, y in pairs:
@@ -222,92 +225,53 @@ def good_count(lam):
     return len(_store(lam)[0])
 
 
-def _surgery(graph, a, v):
-    """Remove a and v, rejoining their gray and black neighbours.
+def _reduce_graph(graph, a, v):
+    """Delete a and v, rejoin their neighbours and relabel what is left.
 
-    Returns the surviving pair lists and the case tag: 1 when v shares
-    a's cycle unhatted, 2 when it shares it hatted, 3 across cycles.
+    Returns the reduced partition, the relabeling and the case tag: 1 when
+    v shares a's cycle unhatted, 2 when it shares it hatted, 3 across
+    cycles.  The surviving cycles go longest first, ties by smallest
+    vertex, and each is read gray edge first from its smallest vertex, the
+    smallest unhatted one when parities must survive; the relabeling's
+    insertion order is the new-label order.  It depends only on the
+    deleted pair, so every matching that pairs a with v shares it.
     """
-    gray, black = graph.gray, graph.black
-    if gray.of(a) == v or black.of(a) == v:
+    gray, black = list(graph.gray.partner), list(graph.black.partner)
+    if gray[a] == v or black[a] == v:
         raise AdjacentPair("%s and %s share an edge"
                            % (_label_text(a), _label_text(v)))
-    cycle = {a}
-    cur = a
-    while True:
-        cur = black.of(gray.of(cur))
-        if cur == a:
-            break
-        cycle.add(cur)
-    cycle |= {gray.of(w) for w in cycle}
-    if v in cycle:
-        tag = 2 if v % 2 == 0 else 1
-    else:
-        tag = 3
-    g_pairs = [e for e in gray.pairs() if a not in e and v not in e]
-    g_pairs.append((gray.of(a), gray.of(v)))
-    b_pairs = [e for e in black.pairs() if a not in e and v not in e]
-    b_pairs.append((black.of(a), black.of(v)))
-    return g_pairs, b_pairs, tag
-
-
-def _relabel_map(g_pairs, b_pairs, preserve):
-    """New labels for the surviving vertices, canonical block by block.
-
-    Cycles are ordered by length then by their smallest original vertex;
-    each is read gray edge first from its smallest vertex, the smallest
-    unhatted one when parities must survive.
-    """
-    gray_of, black_of = {}, {}
-    for x, y in g_pairs:
-        gray_of[x], gray_of[y] = y, x
-    for x, y in b_pairs:
-        black_of[x], black_of[y] = y, x
-    remaining = set(gray_of)
+    cur = black[gray[a]]
+    while cur != a and v not in (cur, gray[cur]):
+        cur = black[gray[cur]]
+    tag = 3 if cur == a else 2 - v % 2
+    ga, gv, ba, bv = gray[a], gray[v], black[a], black[v]
+    gray[ga], gray[gv] = gv, ga
+    black[ba], black[bv] = bv, ba
+    seen = [False] * len(gray)
+    seen[a] = seen[v] = True
     cycles = []
-    while remaining:
-        seed = min(remaining)
-        cycle = [seed]
-        cur = black_of[gray_of[seed]]
-        while cur != seed:
-            cycle.append(cur)
-            cur = black_of[gray_of[cur]]
-        verts = set(cycle) | {gray_of[w] for w in cycle}
-        remaining -= verts
-        cycles.append((len(verts), min(verts), verts))
-    cycles.sort(key=lambda c: (-c[0], c[1]))
-    mapping = {}
-    counter = 1
-    for _, _, verts in cycles:
-        if preserve:
-            start = min(w for w in verts if w % 2 == 1)
-        else:
-            start = min(verts)
+    for start in range(1, len(gray)):
+        if seen[start]:
+            continue
+        cycle = []
         cur = start
-        while True:
-            mapping[cur] = counter
-            twin = gray_of[cur]
-            mapping[twin] = counter + 1
-            counter += 2
-            cur = black_of[twin]
-            if cur == start:
-                break
-    return mapping
-
-
-def _reduce_graph(graph, a, v):
-    """The graph half of reduce: the smaller graph, the relabeling, the tag.
-
-    It depends only on the deleted pair, so every matching that pairs a
-    with v shares it.
-    """
-    g_pairs, b_pairs, tag = _surgery(graph, a, v)
-    mapping = _relabel_map(g_pairs, b_pairs, (a % 2) != (v % 2))
-    size = len(mapping)
-    new_gray = Matching(((mapping[x], mapping[y]) for x, y in g_pairs), size)
-    new_black = Matching(((mapping[x], mapping[y]) for x, y in b_pairs), size)
-    lam2 = union_cycle_type(new_gray, new_black)
-    return LambdaGraph(lam2, new_gray, new_black), mapping, tag
+        while not seen[cur]:
+            twin = gray[cur]
+            seen[cur] = seen[twin] = True
+            cycle += (cur, twin)
+            cur = black[twin]
+        cycles.append(cycle)
+    cycles.sort(key=len, reverse=True)
+    mapping = {}
+    for cycle in cycles:
+        start = min(w for w in cycle if w % 2) if (a ^ v) & 1 else cycle[0]
+        cur = start
+        while cur not in mapping:
+            twin = gray[cur]
+            mapping[cur] = len(mapping) + 1
+            mapping[twin] = len(mapping) + 1
+            cur = black[twin]
+    return Partition([len(cycle) // 2 for cycle in cycles]), mapping, tag
 
 
 def reduce(graph, delta, a, v):
@@ -316,13 +280,16 @@ def reduce(graph, delta, a, v):
     Gives back the smaller graph in canonical labels, the matching carried
     along the relabeling, and the case tag of the surgery.
     """
+    if a not in range(1, delta.size + 1):
+        raise UnmatchedPair("vertex %r is not one of 1..%d"
+                            % (a, delta.size))
     if delta.of(a) != v:
         raise UnmatchedPair("%s and %s are not paired by %s"
                             % (_label_text(a), _label_text(v), delta.to_text()))
-    reduced, mapping, tag = _reduce_graph(graph, a, v)
+    lam2, mapping, tag = _reduce_graph(graph, a, v)
     new_delta = Matching(((mapping[x], mapping[y]) for x, y in delta.pairs()
                           if a not in (x, y) and v not in (x, y)), len(mapping))
-    return reduced, new_delta, tag
+    return build_canonical(lam2), new_delta, tag
 
 
 @lru_cache(maxsize=None)
@@ -345,13 +312,10 @@ def _weight_table(lam):
     for p in partners:
         step = steps.get(p[1])
         if step is None:
-            reduced, mapping, _ = _reduce_graph(graph, 1, p[1])
-            # old[k - 1] is the surviving vertex that gets the new label k.
-            old = sorted(mapping, key=mapping.__getitem__)
-            step = steps[p[1]] = (p[1] % 2, _weight_table(reduced.lam),
-                                  mapping, old)
-        hit, sub, mapping, old = step
-        carried = (0,) + tuple(mapping[p[x]] for x in old)
+            lam2, mapping, _ = _reduce_graph(graph, 1, p[1])
+            step = steps[p[1]] = (p[1] % 2, _weight_table(lam2), mapping)
+        hit, sub, mapping = step
+        carried = (0,) + tuple(mapping[p[x]] for x in mapping)
         table[p] = hit + sub[carried]
     return table
 
@@ -454,7 +418,7 @@ def counting_recurrence_check(lam, i):
             if buckets[v]:
                 return False
             continue
-        reduced = _reduce_graph(graph, root, v)[0].lam
+        reduced = _reduce_graph(graph, root, v)[0]
         if buckets[v] != good_count(reduced):
             return False
         want_bip = bipartite_count(reduced) if v % 2 == 0 else 0

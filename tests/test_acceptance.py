@@ -6,7 +6,6 @@ mathematical content of each criterion.
 """
 
 import math
-import os
 import time
 
 import pytest
@@ -78,11 +77,8 @@ def test_criterion_2_three_routes_agree(capsys):
 
 
 def test_criterion_3_weight_distribution(capsys):
-    deep = bool(os.environ.get("JACKCC_ACCEPT_N7"))
-    top = 7 if deep else 6
-
     def body():
-        for n in range(1, top + 1):
+        for n in range(1, 8):
             for lam in generate_partitions(n):
                 found = enumerate_good(lam)
                 shifted = substitute_beta(a_nn_recurrence(lam))
@@ -92,7 +88,7 @@ def test_criterion_3_weight_distribution(capsys):
                 assert shifted.coeff(n - 1) == math.factorial(n - 1)
 
     _criterion(capsys, 3, "matching weights generate the shifted coefficient",
-               body, budget=600.0 if deep else None)
+               body, budget=60.0)
 
 
 def test_criterion_4_weight_raising_identity(capsys):
@@ -152,14 +148,11 @@ def test_criterion_7_tower_coefficient_shape(capsys):
 
 
 def test_criterion_8_counting_recurrences(capsys):
-    deep = bool(os.environ.get("JACKCC_ACCEPT_N7"))
-    top = 7 if deep else 6
-
     def body():
-        for n in range(2, top + 1):
+        for n in range(2, 8):
             for lam in generate_partitions(n):
                 for i in range(1, len(lam) + 1):
                     assert counting_recurrence_check(lam, i)
 
     _criterion(capsys, 8, "matching counts split by root partner", body,
-               budget=60.0 if deep else None)
+               budget=60.0)

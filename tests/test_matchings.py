@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from collections import Counter
+
 import pytest
 
 from jackcc.algebra import AlphaPoly, substitute_beta
@@ -13,7 +18,9 @@ from jackcc.matchings import (
     union_cycle_type, weight, weight_distribution, _reduce_graph, _store,
     _weight_table,
 )
-from jackcc.partitions import Partition, generate_partitions
+from jackcc.partitions import (
+    Partition, down_k, down_kl, generate_partitions, up_kl,
+)
 
 P = Partition
 
@@ -71,6 +78,9 @@ def test_matching_basics():
     for pairs in ([(1, 5)], [(0, 1)], [(-1, 1)], [(1, 1.5)]):
         with pytest.raises(BadMatching, match="leaves the vertices 1..2"):
             Matching(pairs, 2)
+    for pairs, size in (([], -1), ([(1, 2)], 2.0), ([(1, 2)], True)):
+        with pytest.raises(BadMatching, match="size %r " % (size,)):
+            Matching(pairs, size)
 
 
 def test_canonical_graphs():
@@ -170,6 +180,55 @@ def test_reduce_rejects_unmatched_pair():
     delta = Matching([(1, 3), (2, 5), (4, 6)])
     with pytest.raises(UnmatchedPair):
         reduce(hexagon, delta, 1, 4)
+    for a, v in ((7, 1), (0, 0)):
+        with pytest.raises(UnmatchedPair, match="vertex %d " % a):
+            reduce(hexagon, delta, a, v)
+
+
+def test_reduce_refuses_a_negative_vertex():
+    # A negative vertex indexes the partner lists from the end, where the
+    # cycle walk never returns, so a regression must time out in a child.
+    probe = ("from jackcc.errors import UnmatchedPair\n"
+             "from jackcc.matchings import build_canonical, good_matchings,"
+             " reduce\n"
+             "hexagon, delta = build_canonical((3,)), good_matchings((3,))[0]\n"
+             "for a, v in ((-1, 4), (-2, 2)):\n"
+             "    try:\n"
+             "        reduce(hexagon, delta, a, v)\n"
+             "    except UnmatchedPair as exc:\n"
+             "        print(exc)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(matchings.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ("vertex -1 is not one of 1..6\n"
+                           "vertex -2 is not one of 1..6\n")
+
+
+def test_surgery_partitions_and_tags_are_pinned():
+    # Deleting the first vertex of part k and a partner v leaves: in the
+    # same cycle, an unhatted v shrinks the part (k - 1 ways) and a hatted
+    # one splits it; in the cycle of another part l, v merges the two
+    # (2l ways).
+    for n in range(1, 9):
+        for lam in generate_partitions(n):
+            graph = build_canonical(lam)
+            for i, k in enumerate(lam):
+                root = 2 * sum(lam[:i]) + 1
+                near = (root, graph.gray.of(root), graph.black.of(root))
+                got = Counter()
+                for v in range(1, 2 * n + 1):
+                    if v not in near:
+                        lam2, _, tag = _reduce_graph(graph, root, v)
+                        got[tag, lam2] += 1
+                want = Counter([(1, down_k(lam, k))] * (k - 1))
+                want.update((2, up_kl(lam, k - 1 - d, d))
+                            for d in range(1, k - 1))
+                for j, other in enumerate(lam):
+                    if j != i:
+                        want[3, down_kl(lam, k, other)] += 2 * other
+                assert got == want, (lam, i)
 
 
 def test_every_reduction_is_canonical():
@@ -179,9 +238,15 @@ def test_every_reduction_is_canonical():
             pairs = {(a, m.of(a)) for m in good_matchings(lam)
                      for a in range(1, 2 * n + 1)}
             for a, v in pairs:
-                reduced, mapping, _ = _reduce_graph(graph, a, v)
-                assert reduced == build_canonical(reduced.lam), (lam, a, v)
-                assert sorted(mapping.values()) == list(range(1, 2 * n - 1))
+                lam2, mapping, _ = _reduce_graph(graph, a, v)
+                want = build_canonical(lam2)
+                for old, new in ((graph.gray, want.gray),
+                                 (graph.black, want.black)):
+                    kept = [e for e in old.pairs() if a not in e and v not in e]
+                    kept.append((old.of(a), old.of(v)))
+                    moved = ((mapping[x], mapping[y]) for x, y in kept)
+                    assert Matching(moved, 2 * n - 2) == new, (lam, a, v)
+                assert list(mapping.values()) == list(range(1, 2 * n - 1))
                 if (a % 2) != (v % 2):
                     assert all(x % 2 == y % 2 for x, y in mapping.items()), \
                         (lam, a, v)
