@@ -16,7 +16,7 @@ from .errors import (
 
 __all__ = [
     "AlphaPoly", "RatFunc", "ALPHA", "ONE",
-    "substitute_beta", "eval_at", "poly_gcd",
+    "substitute_beta", "poly_gcd",
 ]
 
 
@@ -418,10 +418,3 @@ def _require_poly(p):
 def substitute_beta(p):
     """Rewrite p(a) as a polynomial in b where a = b + 1."""
     return _require_poly(p).shift(1)
-
-
-def eval_at(p, x):
-    """Exact value of a polynomial or rational function at a rational point."""
-    if isinstance(p, AlphaPoly):
-        return p(x)
-    return RatFunc._coerce(p).eval_at(x)

@@ -26,7 +26,7 @@ from .psum import apply_D, apply_alpha_Delta, psum_unit
 
 __all__ = [
     "CoeffResult", "a_cauchy", "a_nn_recurrence", "verify_i_independence",
-    "verify_thm_rec", "remark_identities", "a_lr", "generator_properties",
+    "verify_thm_rec", "a_lr", "generator_properties",
 ]
 
 
@@ -210,38 +210,6 @@ def verify_thm_rec(lam, nu):
     for pos, part in enumerate(lam):
         rhs = rhs + _bracket(lam, pos, coefficient_of) * part
     return lhs == rhs
-
-
-def remark_identities(mu):
-    """The three consequences of the recurrence for appended small parts."""
-    mu = _as_partition(mu)
-    n = mu.n + 1
-    checks = []
-
-    grown = Partition(tuple(mu) + (1,))
-    checks.append(a_nn_recurrence(grown) == a_nn_recurrence(mu) * (ALPHA * (n - 1)))
-
-    ones = mu.mult(1)
-    core = Partition([p for p in mu if p > 1])
-    if ones and core:
-        m, total = ones, mu.n
-        scale = ALPHA ** m
-        for t in range(total - m, total):
-            scale = scale * t
-        checks.append(a_nn_recurrence(mu) == a_nn_recurrence(core) * scale)
-    elif ones:
-        k = mu.n
-        scale = ALPHA ** (k - 1)
-        for t in range(1, k):
-            scale = scale * t
-        checks.append(a_nn_recurrence(mu) == scale)
-
-    grown2 = Partition(tuple(mu) + (2,))
-    rhs = a_nn_recurrence(mu) * (ALPHA * (ALPHA - 1) * mu.n)
-    for part in mu:
-        rhs = rhs + a_nn_recurrence(up_k(mu, part)) * (ALPHA * part)
-    checks.append(a_nn_recurrence(grown2) == rhs)
-    return all(checks)
 
 
 @lru_cache(maxsize=None)

@@ -349,9 +349,6 @@ class WeightedMatchingSet(NamedTuple):
     lam: Partition
     entries: tuple
 
-    def distribution(self):
-        return _generating_poly(e.weight for e in self.entries)
-
 
 def _generating_poly(weights):
     counts = Counter(weights)

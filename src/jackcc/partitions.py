@@ -25,7 +25,11 @@ class Partition(tuple):
     """Weakly decreasing positive parts; () is the unique partition of 0."""
 
     def __new__(cls, parts=()):
-        ps = sorted((int(p) for p in parts), reverse=True)
+        ps = list(parts)
+        for p in ps:
+            if type(p) is not int:
+                raise MissingPart("part %r is not an integer" % (p,))
+        ps.sort(reverse=True)
         if ps and ps[-1] <= 0:
             raise MissingPart("parts must be positive integers")
         return super().__new__(cls, ps)

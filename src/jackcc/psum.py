@@ -20,9 +20,7 @@ from .partitions import Partition, generate_partitions
 
 __all__ = [
     "PSumVector", "MonomialVector", "psum_unit",
-    "apply_N", "apply_U", "apply_S", "apply_D",
-    "apply_E2", "apply_E2perp", "multiply_p1", "apply_p1perp",
-    "apply_DE2_commutator", "apply_alpha_Delta",
+    "apply_D", "multiply_p1", "apply_alpha_Delta",
     "p_to_m", "m_to_p", "transition_matrix",
 ]
 
@@ -133,21 +131,20 @@ def _replace(counter, removals, additions):
     return Partition(out)
 
 
-def apply_N(v):
-    """N = 1/2 sum_i i(i-1) p_i d/dp_i, diagonal on the p basis."""
-    out = {}
-    for mu, c in v.terms.items():
-        factor = sum(i * (i - 1) * m for i, m in mu.multiplicities().items()) // 2
-        if factor:
-            out[mu] = out.get(mu, _ZERO) + c * factor
-    return PSumVector(v.degree, out)
+def apply_D(v):
+    """The Laplace-Beltrami operator D = (alpha-1)N + alpha U + S, in one pass.
 
-
-def apply_U(v):
-    """U = 1/2 sum_{i,j} ij p_{i+j} d/dp_i d/dp_j, merging two parts."""
+    N = 1/2 sum_i i(i-1) p_i d/dp_i keeps p_mu; U = 1/2 sum_{i,j} ij
+    p_{i+j} d/dp_i d/dp_j merges two parts of mu; S = 1/2 sum_{i,j} (i+j)
+    p_i p_j d/dp_{i+j} splits one part of mu in two.
+    """
     out = {}
     for mu, c in v.terms.items():
         mult = mu.multiplicities()
+        c_alpha = c * ALPHA
+        diagonal = sum(i * (i - 1) * m for i, m in mult.items()) // 2
+        if diagonal:
+            out[mu] = out.get(mu, _ZERO) + (c_alpha - c) * diagonal
         sizes = sorted(mult)
         for a, i in enumerate(sizes):
             for j in sizes[a:]:
@@ -157,48 +154,13 @@ def apply_U(v):
                     factor = i * j * mult[i] * mult[j]
                 if factor:
                     nu = _replace(mu, (i, j), (i + j,))
-                    out[nu] = out.get(nu, _ZERO) + c * factor
-    return PSumVector(v.degree, out)
-
-
-def apply_S(v):
-    """S = 1/2 sum_{i,j} (i+j) p_i p_j d/dp_{i+j}, splitting one part."""
-    out = {}
-    for mu, c in v.terms.items():
-        for k, m in mu.multiplicities().items():
+                    out[nu] = out.get(nu, _ZERO) + c_alpha * factor
+        for k, m in mult.items():
             for i in range(1, k // 2 + 1):
-                factor = (k // 2 if 2 * i == k else k) * m
                 nu = _replace(mu, (k,), (i, k - i))
+                factor = (k // 2 if 2 * i == k else k) * m
                 out[nu] = out.get(nu, _ZERO) + c * factor
     return PSumVector(v.degree, out)
-
-
-def apply_D(v):
-    """The Laplace-Beltrami style operator (alpha-1)N + alpha U + S."""
-    result = apply_N(v).scale(ALPHA - 1)
-    result = result + apply_U(v).scale(ALPHA)
-    return result + apply_S(v)
-
-
-def apply_E2(v):
-    """E2 = sum_k k p_{k+1} d/dp_k, raising the degree by one."""
-    out = {}
-    for mu, c in v.terms.items():
-        for k, m in mu.multiplicities().items():
-            nu = _replace(mu, (k,), (k + 1,))
-            out[nu] = out.get(nu, _ZERO) + c * (k * m)
-    return PSumVector(v.degree + 1, out)
-
-
-def apply_E2perp(v):
-    """E2perp = sum_k (k+1) p_k d/dp_{k+1}, lowering the degree by one."""
-    out = {}
-    for mu, c in v.terms.items():
-        for k, m in mu.multiplicities().items():
-            if k >= 2:
-                nu = _replace(mu, (k,), (k - 1,))
-                out[nu] = out.get(nu, _ZERO) + c * (k * m)
-    return PSumVector(v.degree - 1, out)
 
 
 def multiply_p1(v):
@@ -206,50 +168,6 @@ def multiply_p1(v):
     for mu, c in v.terms.items():
         nu = _replace(mu, (), (1,))
         out[nu] = out.get(nu, _ZERO) + c
-    return PSumVector(v.degree + 1, out)
-
-
-def apply_p1perp(v):
-    """p1perp = alpha d/dp_1, the adjoint of multiplication by p_1."""
-    out = {}
-    for mu, c in v.terms.items():
-        m = mu.mult(1)
-        if m:
-            nu = _replace(mu, (1,), ())
-            out[nu] = out.get(nu, _ZERO) + c * (ALPHA * m)
-    return PSumVector(v.degree - 1, out)
-
-
-def apply_DE2_commutator(v):
-    """Closed form of D E2 - E2 D; degree rises by one.
-
-    Three summands: (alpha-1) sum (i-1)^2 p_i d/dp_{i-1}, then the
-    unhalved split sum (i+j-1) p_i p_j d/dp_{i+j-1} over ordered (i,j),
-    then alpha sum ij p_{i+j+1} d/dp_i d/dp_j over ordered (i,j).
-    """
-    out = {}
-
-    def add(nu, c):
-        out[nu] = out.get(nu, _ZERO) + c
-
-    for mu, coeff in v.terms.items():
-        mult = mu.multiplicities()
-        for k, m in mult.items():
-            add(_replace(mu, (k,), (k + 1,)), coeff * ((ALPHA - 1) * (k * k * m)))
-            for i in range(1, (k + 1) // 2 + 1):
-                j = k + 1 - i
-                ordered = 1 if i == j else 2
-                add(_replace(mu, (k,), (i, j)), coeff * (ordered * k * m))
-        sizes = sorted(mult)
-        for a, i in enumerate(sizes):
-            for j in sizes[a:]:
-                if i == j:
-                    factor = i * i * mult[i] * (mult[i] - 1)
-                else:
-                    factor = 2 * i * j * mult[i] * mult[j]
-                if factor:
-                    add(_replace(mu, (i, j), (i + j + 1,)),
-                        coeff * (ALPHA * factor))
     return PSumVector(v.degree + 1, out)
 
 

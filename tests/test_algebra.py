@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jackcc.algebra import (
-    ALPHA, ONE, AlphaPoly, RatFunc, eval_at, poly_gcd, substitute_beta,
+    ALPHA, ONE, AlphaPoly, RatFunc, poly_gcd, substitute_beta,
 )
 from jackcc.errors import (
     BadExponent, DivisionByZero, InexactDivision, NotPolynomial, PoleAtPoint,
@@ -98,13 +98,14 @@ def test_ratfunc_division():
 
 
 def test_eval_at():
-    assert eval_at(ALPHA - 1, 2) == 1
+    assert (ALPHA - 1)(2) == 1
     p = AlphaPoly([2, -3, 2])
-    assert eval_at(p, 1) == 1
-    assert eval_at(p, 2) == 4
-    assert eval_at(RatFunc(1, ALPHA), Fraction(1, 2)) == 2
+    assert p(1) == 1
+    assert p(2) == 4
+    assert RatFunc(p).eval_at(2) == 4
+    assert RatFunc(1, ALPHA).eval_at(Fraction(1, 2)) == 2
     with pytest.raises(PoleAtPoint):
-        eval_at(RatFunc(1, ALPHA), 0)
+        RatFunc(1, ALPHA).eval_at(0)
 
 
 def test_reduction_idempotent():

@@ -406,6 +406,53 @@ def test_no_assert_in_package_source():
     assert found == []
 
 
+_API_MODULES = ("algebra", "partitions", "psum", "jack", "connection",
+                "matchings", "cli")
+# kept for the tests as independent oracles, with no caller in the package
+_ORACLES = {"partitions.theta_top", "matchings.is_bipartite", "matchings.weight"}
+
+
+def _loads_outside_own_definition(tree, name):
+    """Whether the module reads name anywhere but in its own def or class."""
+    for node in ast.iter_child_nodes(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name == name):
+            continue
+        if (isinstance(node, ast.Name) and node.id == name
+                and isinstance(node.ctx, ast.Load)):
+            return True
+        if _loads_outside_own_definition(node, name):
+            return True
+    return False
+
+
+def test_every_public_name_has_a_caller():
+    # a public name must be run by the package, exported by jackcc, be the
+    # console entry point or be a named test oracle; code that only its own
+    # unit test calls does not belong in the package
+    src = os.path.dirname(os.path.abspath(jackcc.__file__))
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            name = os.path.basename(path)[:-3]
+            trees[name] = ast.parse(handle.read(), filename=path)
+    imported = {("%s.%s" % (node.module, alias.name))
+                for module, tree in trees.items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module != module
+                for alias in node.names}
+    kept = imported | _ORACLES | {"cli.main"}
+    unused = []
+    for module in _API_MODULES:
+        for name in getattr(jackcc, module).__all__:
+            if ("%s.%s" % (module, name) not in kept
+                    and name not in jackcc.__all__
+                    and not _loads_outside_own_definition(trees[module], name)):
+                unused.append("%s.%s" % (module, name))
+    assert unused == []
+
+
 def test_nonpositive_part_in_optimized_mode():
     done = _python("-O", "-m", "jackcc.cli", "connect-nn", "--lambda", "0,2")
     assert done.returncode == 2

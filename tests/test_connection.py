@@ -9,12 +9,12 @@ import jackcc.jack
 import jackcc.psum
 from jackcc.algebra import ALPHA, AlphaPoly, RatFunc, substitute_beta
 from jackcc.connection import (
-    CoeffResult, a_cauchy, a_lr, a_nn_recurrence, generator_properties, remark_identities, verify_i_independence,
+    CoeffResult, a_cauchy, a_lr, a_nn_recurrence, generator_properties, verify_i_independence,
     verify_thm_rec,
 )
 from jackcc.errors import DegreeMismatch, EmptyPartition
 from jackcc.jack import jack_table
-from jackcc.partitions import Partition, generate_partitions, hooks, z_aut_class
+from jackcc.partitions import Partition, generate_partitions, hooks, up_k, z_aut_class
 from jackcc.psum import PSumVector, apply_alpha_Delta, psum_unit
 
 P = Partition
@@ -90,6 +90,37 @@ def test_thm_rec_sweep():
         verify_thm_rec(P([2]), P([2]))
 
 
+def _remark_identities(mu):
+    """The three consequences of the recurrence for appended small parts."""
+    n = mu.n + 1
+    checks = []
+
+    grown = Partition(tuple(mu) + (1,))
+    checks.append(a_nn_recurrence(grown) == a_nn_recurrence(mu) * (ALPHA * (n - 1)))
+
+    ones = mu.mult(1)
+    core = Partition([p for p in mu if p > 1])
+    if ones and core:
+        m, total = ones, mu.n
+        scale = ALPHA ** m
+        for t in range(total - m, total):
+            scale = scale * t
+        checks.append(a_nn_recurrence(mu) == a_nn_recurrence(core) * scale)
+    elif ones:
+        k = mu.n
+        scale = ALPHA ** (k - 1)
+        for t in range(1, k):
+            scale = scale * t
+        checks.append(a_nn_recurrence(mu) == scale)
+
+    grown2 = Partition(tuple(mu) + (2,))
+    rhs = a_nn_recurrence(mu) * (ALPHA * (ALPHA - 1) * mu.n)
+    for part in mu:
+        rhs = rhs + a_nn_recurrence(up_k(mu, part)) * (ALPHA * part)
+    checks.append(a_nn_recurrence(grown2) == rhs)
+    return all(checks)
+
+
 def test_remark_identities():
     assert a_nn_recurrence(P([2, 1])) == ALPHA * 2 * a_nn_recurrence(P([2]))
     assert a_nn_recurrence(P([1, 1])) == ALPHA * 1 * a_nn_recurrence(P([1]))
@@ -99,7 +130,7 @@ def test_remark_identities():
     assert lhs == rhs
     for n in range(1, 7):
         for mu in generate_partitions(n):
-            assert remark_identities(mu), mu
+            assert _remark_identities(mu), mu
 
 
 def test_lr_route_matches_recurrence():
@@ -146,6 +177,17 @@ def test_routes_that_need_a_box_reject_the_empty_partition():
         a_lr(P([]), 2, 0)
     with pytest.raises(EmptyPartition):
         verify_thm_rec(P([1]), P([]))
+
+
+def test_tower_counts_minimal_factorizations_of_a_cycle(monkeypatch):
+    # Denes (1959): an n-cycle is a product of n-1 transpositions in n^(n-2)
+    # ways; times the (n-1)! n-cycles and alpha^(n-1) this is the tower
+    # coefficient, reached through n-1 stages of D and no Jack table
+    monkeypatch.setenv("JACKCC_MAX_N", "10")
+    assert a_lr(P([1]), 1, 0) == RatFunc(1)
+    for n in range(2, 11):
+        want = math.factorial(n - 1) * n ** (n - 2) * ALPHA ** (n - 1)
+        assert a_lr(P([1] * n), 1, n - 1) == RatFunc(want), n
 
 
 def test_lr_degenerate_l1():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,11 @@ def test_constructor_sorts_and_validates():
         Partition([2, 0])
     with pytest.raises(MissingPart):
         Partition([-1])
+    for part in (2.7, True, "3", Fraction(2), None):
+        with pytest.raises(MissingPart, match=re.escape("part %r is not" % (part,))):
+            Partition([part, 1])
+    with pytest.raises(MissingPart, match="part 2.9 is not"):
+        a_nn_recurrence((2.9, 1))
 
 
 def test_text_round_trip():

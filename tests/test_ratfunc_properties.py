@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import jackcc.algebra
-from jackcc.algebra import ONE, AlphaPoly, RatFunc, eval_at, poly_gcd
+from jackcc.algebra import ONE, AlphaPoly, RatFunc, poly_gcd
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 nonzero = fractions.filter(bool)
@@ -167,7 +167,7 @@ def test_non_monic_denominator_is_normalised(x, y):
 @given(raw_polys, nonzero_raw, coeffs)
 def test_eval_at_returns_a_fraction(x, y, point):
     p = AlphaPoly(x)
-    value = eval_at(p, point)
+    value = p(point)
     assert type(value) is Fraction
     assert value == _o_eval(_trim(x), Fraction(point))
     r = RatFunc(p, AlphaPoly(y))
