@@ -12,10 +12,8 @@ def degree_bound():
     raw = os.environ.get("JACKCC_MAX_N")
     if raw is None:
         return DEFAULT_BOUND
-    try:
-        bound = int(raw)
-    except ValueError:
-        bound = 0
+    digits = raw.strip()
+    bound = int(digits) if digits.isascii() and digits.isdigit() else 0
     if bound < 1:
         raise BadConfig("JACKCC_MAX_N must be a positive integer, got %r" % raw)
     return bound

@@ -1,19 +1,20 @@
 """Jack characters via a triangular eigenvector recursion.
 
-J_lam is the eigenvector of the operator D with eigenvalue read off lam
-whose monomial expansion is dominance-triangular: J_lam = sum c_kappa
+J_lam is the eigenvector of the operator D with eigenvalue e_lam read off
+lam whose monomial expansion is dominance-triangular: J_lam = sum c_kappa
 m_kappa over kappa <= lam, with c_lam the hook product.  D is triangular
-on the monomial basis as well, so the eigen relation read at m_kappa gives
-c_kappa from the coefficients of the partitions above it:
+on the monomial basis as well, with diagonal e_kappa, so the eigen relation
+read at m_kappa gives c_kappa from the coefficients of the partitions above
+it:
 
-    (e_lam - B[kappa][kappa]) c_kappa = sum_{mu > kappa} c_mu B[mu][kappa],
+    (e_lam - e_kappa) c_kappa = sum_{mu > kappa} c_mu B[mu][kappa],
 
-where B is the matrix of D on the m basis.  Every c_kappa is a polynomial
-in alpha, so each step is an exact polynomial division; one back
-substitution into power sums then gives theta, with theta on [1^n] equal
-to 1.  The diagonal B[kappa][kappa] is the eigenvalue of kappa, and
-partitions sharing an eigenvalue, such as (2,2,2) and (3,1,1,1), are never
-comparable in dominance, so no gap vanishes.
+where B, the off-diagonal part of D on the m basis, is Stanley's integer
+box-move rule.  Every c_kappa is a polynomial in alpha, so each step is an
+exact polynomial division; one back substitution into power sums then
+gives theta, with theta on [1^n] equal to 1.  Partitions sharing an
+eigenvalue, such as (2,2,2) and (3,1,1,1), are never comparable in
+dominance, so no gap vanishes.
 """
 
 from functools import lru_cache
@@ -25,7 +26,7 @@ from .partitions import (
     Partition, eigenvalue, generate_partitions, hooks, leq_dominance,
     z_aut_class,
 )
-from .psum import MonomialVector, PSumVector, apply_D, m_to_p, p_to_m
+from .psum import MonomialVector, PSumVector, m_to_p
 
 __all__ = ["JackTable", "jack_table", "inner_product"]
 
@@ -33,24 +34,33 @@ _ZERO = AlphaPoly()
 
 
 def _d_on_monomials(n):
-    """B[kappa][mu], the coefficient of m_mu in D m_kappa, as AlphaPolys."""
-    matrix = {}
+    """Integer B[lam][kappa] for lam > kappa: m_kappa's coefficient in D m_lam.
+
+    Each pair of parts (c, e) of kappa and each b < min(c, e) give lam, kappa
+    with (c, e) replaced by (c+e-b, b), and add c+e-2b (Stanley 1989).
+    """
+    matrix = {lam: {} for lam in generate_partitions(n)}
     for kappa in generate_partitions(n):
-        image = p_to_m(apply_D(m_to_p(MonomialVector(n, {kappa: 1}))))
-        matrix[kappa] = image.terms
+        for k, c in enumerate(kappa):
+            for l, e in enumerate(kappa[k + 1:], start=k + 1):
+                rest = kappa[:k] + kappa[k + 1:l] + kappa[l + 1:]
+                for b in range(min(c, e)):
+                    lam = Partition(p for p in rest + (c + e - b, b) if p)
+                    row = matrix[lam]
+                    row[kappa] = row.get(kappa, 0) + c + e - 2 * b
     return matrix
 
 
-def _solve_row(lam, matrix):
+def _solve_row(lam, matrix, eigenvalues):
     """Power-sum expansion of J_lam by back substitution on the m basis."""
     n = lam.n
     order = generate_partitions(n)
-    e = eigenvalue(lam)
+    e = eigenvalues[lam]
     coeffs = {lam: hooks(lam)[0]}
     for kappa in order[order.index(lam) + 1:]:
         if not leq_dominance(kappa, lam):
             continue
-        gap = e - matrix[kappa].get(kappa, _ZERO)
+        gap = e - eigenvalues[kappa]
         if gap.is_zero:
             raise DegenerateSystem("eigenvalue of %s recurs at %s"
                                    % (lam.to_text(), kappa.to_text()))
@@ -102,7 +112,8 @@ class JackTable:
 @lru_cache(maxsize=None)
 def _build_table(n):
     matrix = _d_on_monomials(n)
-    return JackTable(n, {lam: _solve_row(lam, matrix)
+    eigenvalues = {lam: eigenvalue(lam) for lam in generate_partitions(n)}
+    return JackTable(n, {lam: _solve_row(lam, matrix, eigenvalues)
                          for lam in generate_partitions(n)})
 
 

@@ -59,7 +59,11 @@ class Partition(tuple):
         s = text.strip()
         if s == "-":
             return cls()
-        return cls(int(tok) for tok in s.split(","))
+        tokens = [tok.strip() for tok in s.split(",")]
+        for tok in tokens:
+            if not (tok.isascii() and tok.isdigit()):
+                raise MissingPart("part %r is not a run of digits 0-9" % tok)
+        return cls(int(tok) for tok in tokens)
 
     def boxes(self):
         """Box statistics of the Young diagram, row by row."""

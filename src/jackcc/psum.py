@@ -193,43 +193,29 @@ def apply_alpha_Delta(l, v):
     return total
 
 
-def _expand_in_monomials(mu, n):
-    """Monomial coefficients of p_mu in n variables, keyed by exponent tuple.
-
-    Multiplying a symmetric T by p_k sends the coefficient of x^w to the
-    sum of T at sorted(w - k e_i) over the positions i with w_i >= k; the
-    pull direction matters because positions with equal exponents are
-    distinct summands.
-    """
-    table = {(0,) * n: 1}
-    for k in mu:
-        grown = {}
-        for w in {tuple(sorted((v[:i] + (v[i] + k,) + v[i + 1:]), reverse=True))
-                  for v in table for i in range(n)}:
-            total = 0
-            for i in range(n):
-                if w[i] >= k:
-                    total += table.get(
-                        tuple(sorted(w[:i] + (w[i] - k,) + w[i + 1:],
-                                     reverse=True)), 0)
-            if total:
-                grown[w] = total
-        table = grown
-    return table
-
-
 @lru_cache(maxsize=None)
 def _transition(n):
+    """Rows p_mu = p_k * p_rest, k the last part of mu, read off degree n - k.
+
+    p_k m_nu grows one part v of nu to v + k (v = 0 adds the part k), and
+    the grown m_lam comes with the multiplicity of v + k in lam.
+    """
+    if n == 0:
+        return {Partition(): {Partition(): 1}}
     order = generate_partitions(n)
     matrix = {}
     for mu in order:
-        expansion = _expand_in_monomials(mu, n)
+        k = mu[-1]
         row = {}
-        for lam in order:
-            entry = expansion.get(tuple(lam) + (0,) * (n - len(lam)), 0)
-            if entry:
-                row[lam] = entry
-        matrix[mu] = row
+        for nu, entry in _transition(n - k)[Partition(mu[:-1])].items():
+            for v in set(nu) | {0}:
+                parts = list(nu)
+                if v:
+                    parts.remove(v)
+                lam = Partition(parts + [v + k])
+                row[lam] = row.get(lam, 0) + entry * lam.count(v + k)
+        # the cached rows keep order's own keys, in generation order
+        matrix[mu] = {lam: row[lam] for lam in order if lam in row}
     return matrix
 
 

@@ -208,6 +208,12 @@ def test_bad_partition_text(capsys):
     assert code == 2
     code, _ = run(capsys, ["matchings", "--lambda", "0"])
     assert code == 2
+    # int() would read these as 21, 3 and (3, 3)
+    for text in ("2_1", "+3", "3,\u0663"):
+        assert main(["connect-nn", "--lambda", text]) == 2
+        captured = capsys.readouterr()
+        assert _one_error_line(captured), text
+        assert text in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -324,7 +330,8 @@ def test_every_package_error_is_one_family():
     assert all(issubclass(c, JackccError) for c in classes)
 
 
-@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", ""])
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5", "", "1_0", "+8",
+                                 "\u0668"])
 def test_bad_max_n_environment(raw, capsys, monkeypatch):
     monkeypatch.setenv("JACKCC_MAX_N", raw)
     assert main(["jack", "--n", "3"]) == 2
@@ -409,7 +416,8 @@ def test_no_assert_in_package_source():
 _API_MODULES = ("algebra", "partitions", "psum", "jack", "connection",
                 "matchings", "cli")
 # kept for the tests as independent oracles, with no caller in the package
-_ORACLES = {"partitions.theta_top", "matchings.is_bipartite", "matchings.weight"}
+_ORACLES = {"partitions.theta_top", "matchings.is_bipartite", "matchings.weight",
+            "psum.p_to_m"}
 
 
 def _loads_outside_own_definition(tree, name):

@@ -6,11 +6,14 @@ import pytest
 from jackcc.algebra import ALPHA, AlphaPoly, RatFunc
 from jackcc.cli import main
 from jackcc.errors import DegreeMismatch, DegreeTooLarge
-from jackcc.jack import JackTable, inner_product, jack_table
+from jackcc.jack import JackTable, _d_on_monomials, inner_product, jack_table
 from jackcc.partitions import (
     Partition, eigenvalue, generate_partitions, hooks, theta_top,
 )
-from jackcc.psum import PSumVector, apply_D, p_to_m, psum_unit, transition_matrix
+from jackcc.psum import (
+    MonomialVector, PSumVector, apply_D, m_to_p, p_to_m, psum_unit,
+    transition_matrix,
+)
 
 P = Partition
 
@@ -72,6 +75,17 @@ def test_collision_rows_are_distinct():
     assert a != b
     assert p_to_m(b).coeff(P([3, 1, 1, 1])) == RatFunc(hooks(P([3, 1, 1, 1]))[0])
     assert p_to_m(b).coeff(P([4, 2])).is_zero
+
+
+def test_box_move_rule_matches_the_round_trip():
+    # the reference for D on monomials: m -> p, D on power sums, p -> m
+    for n in range(1, 9):
+        matrix = _d_on_monomials(n)
+        for kappa in generate_partitions(n):
+            image = p_to_m(apply_D(m_to_p(MonomialVector(n, {kappa: 1}))))
+            want = dict(matrix[kappa])
+            want[kappa] = eigenvalue(kappa)
+            assert image == MonomialVector(n, want), kappa
 
 
 def test_inner_product_basics():
@@ -140,7 +154,8 @@ def test_alpha_one_specializes_to_power_sum_symmetrics():
 # sha256 of `jackcc jack --n k --format json`, recorded from the
 # elimination solver the triangular recursion replaced for k <= 8 (k = 7 is
 # also the digest of bench/golden/jack-n-7.json) and from the all-Fraction
-# coefficient ring for k = 9 and 10.
+# coefficient ring for k = 9 and 10; k = 11 and 12 from the round-trip
+# construction of D on monomials that the box-move rule replaced.
 TABLE_DIGESTS = {
     1: "98278762a9bf977453868545d7544cd2b44ea7ee189ecf7d8f167456a4375326",
     2: "bd199438d79a764657f93f6b4f5bb3feecd021dfb2b3aa2084ad0381e5747a4a",
@@ -152,12 +167,14 @@ TABLE_DIGESTS = {
     8: "21870abf367a4eb6d9bdd3527f4d0cfcc0f4688e9ed014270e7b5cb8d60dde65",
     9: "c8a1913ff91505d53b9ae289036e9e7dc417141834d3bda04b8f28dbe1641c85",
     10: "fa553b66aa2c262de5aa1eb1ff8ce72054a594976200e9ebd6119512aa114fa6",
+    11: "c0f041eecafc67ffcb6da53260a7ae504e01a2391ac2424861c34f7260e2a6e9",
+    12: "862d86250c79446879566f9ab304e557b22ecab195eab0853b3bdb212aa08e53",
 }
 
 
 @pytest.mark.parametrize("n", sorted(TABLE_DIGESTS))
 def test_table_json_digest(n, capsys, monkeypatch):
-    monkeypatch.setenv("JACKCC_MAX_N", "10")
+    monkeypatch.setenv("JACKCC_MAX_N", "12")
     assert main(["jack", "--n", str(n), "--format", "json"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == TABLE_DIGESTS[n]

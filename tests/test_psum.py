@@ -140,6 +140,22 @@ def test_transition_triangularity_and_diagonal():
             assert row[mu] == math.prod(math.factorial(m) for m in mults.values())
 
 
+def test_transition_is_pinned(monkeypatch):
+    """sha256 of every nonzero entry of p -> m, one line each, n <= 10."""
+    monkeypatch.setenv("JACKCC_MAX_N", "10")
+    digest = hashlib.sha256()
+    for n in range(1, 11):
+        matrix = transition_matrix(n)
+        for mu in generate_partitions(n):
+            for lam in generate_partitions(n):
+                entry = matrix[mu].get(lam, 0)
+                if entry:
+                    line = "%s %s %d\n" % (mu.to_text(), lam.to_text(), entry)
+                    digest.update(line.encode())
+    assert digest.hexdigest() == (
+        "0eaca9de54c62d81ee552f44e5560862acb0e3d77c74657809a2f60f2792faa6")
+
+
 def test_round_trip_random_vectors():
     rng = random.Random(411)
     for n in range(1, 8):
