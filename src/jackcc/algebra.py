@@ -9,6 +9,7 @@ with a monic denominator, which makes equality a plain comparison.
 """
 
 from fractions import Fraction
+from numbers import Number
 
 from .errors import (
     BadExponent, DivisionByZero, InexactDivision, NotPolynomial, PoleAtPoint,
@@ -38,13 +39,15 @@ class AlphaPoly:
     """Coefficients ascending by degree; the zero polynomial stores nothing.
 
     Each stored coefficient is an int or a Fraction whose denominator is
-    not 1; the constructor normalises every coefficient to that form.
+    not 1; the constructor normalises every coefficient to that form, and
+    the ring operations build their results through _poly, which does the
+    same without the constructor's type checks.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        if isinstance(coeffs, (int, Fraction)):
+        if isinstance(coeffs, Number):
             coeffs = (coeffs,)
         cs = [c if type(c) is int else _coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
@@ -80,46 +83,51 @@ class AlphaPoly:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = _operand(other)
+        if b is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
+        a = self.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for k, c in enumerate(b):
             out[k] += c
-        return AlphaPoly(out)
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlphaPoly([-c for c in self.coeffs])
+        return _poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = _operand(other)
+        if b is None:
             return NotImplemented
-        return self + (-o)
+        return _poly(_difference(self.coeffs, b))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = _operand(other)
+        if b is None:
             return NotImplemented
-        return o + (-self)
+        return _poly(_difference(b, self.coeffs))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        b = _operand(other)
+        if b is None:
             return NotImplemented
-        if self.is_zero or o.is_zero:
-            return AlphaPoly()
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
+        a = self.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            # a constant scales each coefficient of the other operand
+            c = a[0]
+            return _poly([c * x for x in b])
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ci in enumerate(a):
             if ci:
-                for j, cj in enumerate(o.coeffs):
+                for j, cj in enumerate(b):
                     out[i + j] += ci * cj
-        return AlphaPoly(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -149,7 +157,7 @@ class AlphaPoly:
             if c:
                 for j, oj in enumerate(o.coeffs):
                     rem[k + j] -= c * oj
-        return AlphaPoly(quo), AlphaPoly(rem)
+        return _poly(quo), _poly(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -168,7 +176,7 @@ class AlphaPoly:
         if self.is_zero:
             return self
         lead = self.coeffs[-1]
-        return AlphaPoly([_quotient(c, lead) for c in self.coeffs])
+        return _poly([_quotient(c, lead) for c in self.coeffs])
 
     def __call__(self, x):
         x = _coeff(x)
@@ -255,6 +263,44 @@ class AlphaPoly:
         return "AlphaPoly(%s)" % self.to_text()
 
 
+def _poly(cs):
+    """AlphaPoly over a coefficient list that the arithmetic below computed.
+
+    Every entry is already an int or a Fraction, so the public
+    constructor's type checks are skipped: an integral Fraction becomes its
+    int and trailing zeros are dropped.
+    """
+    while cs and not cs[-1]:
+        cs.pop()
+    p = object.__new__(AlphaPoly)
+    p.coeffs = tuple([c if type(c) is int or c.denominator != 1
+                      else c.numerator for c in cs])
+    return p
+
+
+def _operand(other):
+    """other's coefficients as a sequence, or None when it is no polynomial.
+
+    A bare int or Fraction is taken as it is, unwrapped; other operand
+    types go through AlphaPoly._coerce.
+    """
+    if type(other) is AlphaPoly:
+        return other.coeffs
+    if type(other) is int or type(other) is Fraction:
+        return (other,)
+    other = AlphaPoly._coerce(other)
+    return None if other is None else other.coeffs
+
+
+def _difference(a, b):
+    """The coefficient list of a - b, one subtraction per coefficient of b."""
+    out = list(a)
+    out.extend([0] * (len(b) - len(a)))
+    for k, c in enumerate(b):
+        out[k] -= c
+    return out
+
+
 ALPHA = AlphaPoly((0, 1))
 ONE = AlphaPoly((1,))
 
@@ -325,14 +371,18 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.is_zero:
+            return o
+        if o.is_zero:
+            return self
         if self.is_polynomial and o.is_polynomial:
-            return RatFunc(self.num + o.num, ONE)
+            return _ratfunc(self.num + o.num, ONE)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return _ratfunc(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -347,11 +397,16 @@ class RatFunc:
         return o + (-self)
 
     def __mul__(self, other):
+        if type(other) is int or type(other) is Fraction:
+            # a nonzero constant leaves num and den coprime and den monic
+            if not other:
+                return _ratfunc(AlphaPoly(), ONE)
+            return _ratfunc(self.num * other, self.den)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if self.is_polynomial and o.is_polynomial:
-            return RatFunc(self.num * o.num, ONE)
+            return _ratfunc(self.num * o.num, ONE)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -405,6 +460,13 @@ class RatFunc:
 
     def __repr__(self):
         return "RatFunc(%s)" % self.to_text()
+
+
+def _ratfunc(num, den):
+    """RatFunc over a num and den already coprime, den monic and 1 when num is 0."""
+    r = object.__new__(RatFunc)
+    r.num, r.den = num, den
+    return r
 
 
 def _require_poly(p):

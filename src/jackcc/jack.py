@@ -124,13 +124,24 @@ def jack_table(n):
 
 
 def inner_product(u, v):
-    """Power-sum pairing <p_lam, p_mu> = alpha^len(lam) z_lam delta."""
+    """Power-sum pairing <p_lam, p_mu> = alpha^len(lam) z_lam delta.
+
+    Every term z_mu c_i c'_j alpha^(len(mu)+i+j) adds into one coefficient
+    list at that offset, so no polynomial is built per term.
+    """
     if u.degree != v.degree:
         raise DegreeMismatch("degrees %d and %d" % (u.degree, v.degree))
-    total = _ZERO
+    total = []
     for mu, c in u.terms.items():
         other = v.terms.get(mu)
         if other is not None:
-            weight = AlphaPoly((0,) * len(mu) + (z_aut_class(mu)[0],))
-            total = total + c * other * weight
-    return total
+            z = z_aut_class(mu)[0]
+            base = len(mu)
+            top = base + c.degree + other.degree + 1
+            total.extend([0] * (top - len(total)))
+            for i, ci in enumerate(c.coeffs, start=base):
+                if ci:
+                    zc = z * ci
+                    for j, cj in enumerate(other.coeffs, start=i):
+                        total[j] += zc * cj
+    return AlphaPoly(total)

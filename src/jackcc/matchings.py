@@ -18,6 +18,7 @@ when the matchings themselves are listed.
 
 from collections import Counter
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import AlphaPoly
@@ -313,10 +314,12 @@ def _weight_table(lam):
         step = steps.get(p[1])
         if step is None:
             lam2, mapping, _ = _reduce_graph(graph, 1, p[1])
-            step = steps[p[1]] = (p[1] % 2, _weight_table(lam2), mapping)
-        hit, sub, mapping = step
-        carried = (0,) + tuple(mapping[p[x]] for x in mapping)
-        table[p] = hit + sub[carried]
+            # the reduced graph has at least two vertices, so the getter
+            # returns a tuple: p's partners in the new-label order
+            step = steps[p[1]] = (p[1] % 2, _weight_table(lam2),
+                                  mapping.__getitem__, itemgetter(*mapping))
+        hit, sub, relabel, partners_in_order = step
+        table[p] = hit + sub[(0, *map(relabel, partners_in_order(p)))]
     return table
 
 

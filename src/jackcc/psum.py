@@ -43,7 +43,8 @@ class _GradedVector:
                     "key %s in a degree-%d vector" % (mu.to_text(), degree))
             c = _require_poly(c)
             if not c.is_zero:
-                table[mu] = table.get(mu, _ZERO) + c
+                prev = table.get(mu)
+                table[mu] = c if prev is None else prev + c
         self.terms = {mu: c for mu, c in table.items() if not c.is_zero}
 
     def coeff(self, mu):

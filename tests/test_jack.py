@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +11,7 @@ from jackcc.errors import DegreeMismatch, DegreeTooLarge
 from jackcc.jack import JackTable, _d_on_monomials, inner_product, jack_table
 from jackcc.partitions import (
     Partition, eigenvalue, generate_partitions, hooks, theta_top,
+    z_aut_class,
 )
 from jackcc.psum import (
     MonomialVector, PSumVector, apply_D, m_to_p, p_to_m, psum_unit,
@@ -106,6 +109,40 @@ def test_orthogonality():
                 assert inner_product(v, table.row(mu)).is_zero
 
 
+def _pairing_term_by_term(u, v):
+    """The pairing as the sum of c * c' * alpha^len(mu) * z_mu over shared mu."""
+    total = AlphaPoly()
+    for mu, c in u.terms.items():
+        other = v.terms.get(mu)
+        if other is not None:
+            weight = AlphaPoly((0,) * len(mu) + (z_aut_class(mu)[0],))
+            total = total + c * other * weight
+    return total
+
+
+def _random_psum_vector(rng, n):
+    parts = generate_partitions(n)
+    return PSumVector(n, {
+        mu: AlphaPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                       for _ in range(rng.randint(0, 4))])
+        for mu in rng.sample(parts, rng.randint(0, len(parts)))})
+
+
+def test_inner_product_matches_the_term_by_term_sum():
+    rng = random.Random(20141)
+    pairs = []
+    for n in range(1, 7):
+        rows = [jack_table(n).row(lam) for lam in generate_partitions(n)]
+        pairs += [(u, v) for u in rows for v in rows]
+        for _ in range(40):
+            pairs.append((_random_psum_vector(rng, n),
+                          _random_psum_vector(rng, n)))
+    for u, v in pairs:
+        got = inner_product(u, v).coeffs
+        assert got == _pairing_term_by_term(u, v).coeffs
+        assert all(type(c) is int or c.denominator != 1 for c in got)
+
+
 def test_hand_checked_inner_products():
     j2 = jack_table(2).row(P([2]))
     j11 = jack_table(2).row(P([1, 1]))
@@ -178,3 +215,18 @@ def test_table_json_digest(n, capsys, monkeypatch):
     assert main(["jack", "--n", str(n), "--format", "json"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == TABLE_DIGESTS[n]
+
+
+# sha256 of `jackcc verify --suite orthogonality --max-n 7 --format json`,
+# recorded while inner_product still built one polynomial per term; the
+# same bytes as bench/golden/verify-suite-orthogonality-max-n-7.json.
+ORTHOGONALITY_SHA256 = (
+    "0c0ace2252e529884178e5e2e77978cbc7725cf87b60d742ee2830dbf89e2823")
+
+
+def test_orthogonality_report_is_pinned(capsys, monkeypatch):
+    monkeypatch.delenv("JACKCC_MAX_N", raising=False)
+    assert main(["verify", "--suite", "orthogonality", "--max-n", "7",
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == ORTHOGONALITY_SHA256

@@ -180,6 +180,48 @@ def test_float_coefficients_are_refused():
         AlphaPoly([1, 0.5])
     with pytest.raises(TypeError):
         AlphaPoly((1, 1)).shift(1.0)
+    for bare in (AlphaPoly, RatFunc):
+        with pytest.raises(TypeError, match="expected int or Fraction, got 0.5"):
+            bare(0.5)
+
+
+# ---- scalar operands, which the ring never wraps in a polynomial ----
+
+scalars = st.one_of(coeffs, st.just(0), st.just(Fraction(0)))
+
+
+@given(raw_polys, scalars)
+def test_scalar_operands_against_the_oracle(x, c):
+    p, a, k = AlphaPoly(x), _trim(x), (Fraction(c),)
+    assert _stored(p * c) == _stored(c * p) == _o_mul(a, k)
+    assert _stored(p + c) == _stored(c + p) == _o_add(a, k)
+    assert _stored(p - c) == _o_add(a, _o_neg(k))
+    assert _stored(c - p) == _o_add(k, _o_neg(a))
+    assert _stored(p * AlphaPoly(c)) == _stored(AlphaPoly(c) * p) == _o_mul(a, k)
+    assert _stored(-p) == _o_neg(a)
+
+
+def test_bool_is_a_coefficient_of_one():
+    assert AlphaPoly(True).coeffs == (1,)
+    assert type(AlphaPoly(True).coeffs[0]) is int
+    assert _stored(AlphaPoly((1, 2)) * True) == (1, 2)
+
+
+@given(raw_polys, nonzero_raw, scalars)
+def test_ratfunc_scalar_paths_against_the_general_form(x, y, c):
+    r = RatFunc(AlphaPoly(x), AlphaPoly(y))
+    want_num = _o_mul(_trim(r.num.coeffs), (Fraction(c),))
+    want_den = _trim(r.den.coeffs) if want_num else (Fraction(1),)
+    for scaled in (r * c, c * r):
+        assert _stored(scaled.num) == want_num
+        assert _stored(scaled.den) == want_den
+        assert scaled == RatFunc(r.num * AlphaPoly(c), r.den)
+    zero = RatFunc(0)
+    for total in (zero + r, r + zero):
+        assert (_stored(total.num), _stored(total.den)) == (r.num.coeffs,
+                                                           r.den.coeffs)
+    assert _stored((-r).num) == _o_neg(_trim(r.num.coeffs))
+    assert -r == RatFunc(-r.num, r.den)
 
 
 # ---- monomial denominators c*a^d, reduced without Euclid ----
