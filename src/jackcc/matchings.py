@@ -10,22 +10,23 @@ deleting vertex 1 together with its matched partner.  One deletion already
 lands on a good matching of the reduced partition, so each partition's
 weights are computed once, from the reduced partitions' weight tables.
 
-The search keeps one store per partition: the partner tuples of its good
-matchings and one parity bit each.  The counts, the weights and the
-recurrence audit read that store; ``Matching`` objects are built only
-when the matchings themselves are listed.
+The search keeps one store per partition: each good matching's partner
+array as one byte row, and one parity bit each.  The counts, the weights
+and the recurrence audit read that store; ``Matching`` objects (partner
+tuples) are built only when the matchings themselves are listed.
 """
 
 from collections import Counter
 from functools import lru_cache
+from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import AlphaPoly
 from .config import check_degree
 from .errors import (
-    AdjacentPair, BadMatching, BrokenInvariant, DegreeMismatch, EmptyPartition,
-    MissingPart, NotGoodMatching, UnmatchedPair,
+    AdjacentPair, BadMatching, BrokenInvariant, DegreeMismatch, DegreeTooLarge,
+    EmptyPartition, MissingPart, NotGoodMatching, UnmatchedPair,
 )
 from .partitions import Partition, down_k, down_kl, up_kl
 
@@ -71,7 +72,7 @@ class Matching:
         """Wrap a partner tuple of the search without checking it.
 
         The search pairs each vertex of 1..2n exactly once, both ways, so
-        every tuple it stores is already a fixed-point-free involution.
+        every row it stores is already a fixed-point-free involution.
         """
         m = object.__new__(cls)
         m.partner = partner
@@ -165,25 +166,31 @@ def _search(partner, gend, bend, a, free, mixed, out, bits):
     """Pair the smallest free vertex a with each allowed partner in turn.
 
     gend and bend map each path end to the other end of its gray and black
-    path; free counts the unmatched vertices; mixed is 1 while every edge
-    chosen so far joins an unhatted vertex to a hatted one.
+    path; free counts the unmatched vertices, at least 4; mixed is 1 while
+    every edge chosen so far joins an unhatted vertex to a hatted one.
+    With four free, the two left after a's pair close the last path, so
+    they pair without recursing and the leaf is recorded in place; that
+    pair mixes parities whenever every other edge does.
     """
-    if not free:
-        out.append(tuple(partner))
-        bits.append(mixed)
+    ga, ba = gend[a], bend[a]
+    if free == 4:
+        b, c, d = [w for w in range(a + 1, len(partner)) if not partner[w]]
+        for v, x, y in ((b, c, d), (c, b, d), (d, b, c)):
+            if v != ga and v != ba:
+                partner[a], partner[v], partner[x], partner[y] = v, a, y, x
+                out.append(bytes(partner))
+                bits.append(mixed & (a ^ v))
+        partner[a] = partner[b] = partner[c] = partner[d] = 0
         return
-    size = len(partner)
-    for v in range(a + 1, size):
-        if partner[v]:
-            continue
-        if free > 2 and (gend[a] == v or bend[a] == v):
+    for v in range(a + 1, len(partner)):
+        if partner[v] or v == ga or v == ba:
             continue
         partner[a], partner[v] = v, a
-        ga, gv, ba, bv = gend[a], gend[v], bend[a], bend[v]
+        gv, bv = gend[v], bend[v]
         gend[ga], gend[gv] = gv, ga
         bend[ba], bend[bv] = bv, ba
         b = a + 1
-        while b < size and partner[b]:
+        while partner[b]:
             b += 1
         _search(partner, gend, bend, b, free - 2, mixed & (a ^ v), out, bits)
         gend[ga], gend[gv] = a, v
@@ -193,16 +200,21 @@ def _search(partner, gend, bend, a, free, mixed, out, bits):
 
 @lru_cache(maxsize=None)
 def _store(lam):
-    """The good matchings of lam: partner tuples and their parity bits.
+    """The good matchings of lam: byte rows and their parity bits.
 
-    The partner tuples come in lexicographic order; byte k of the bits is
-    1 when every edge of the k-th matching mixes parities.  The search
-    matches the smallest free vertex first and rejects any edge that would
-    close a cycle in either colored union before the last step; at the
-    last step the single remaining path must close into the full cycle,
-    so every leaf reached is good.
+    Row k is the k-th partner array in lexicographic order, as bytes, so
+    lam has at most 127 boxes; byte k of the bits is 1 when every edge of
+    the k-th matching mixes parities.  The search matches the smallest free
+    vertex first and rejects any edge that would close a cycle in either
+    colored union before the last step, where the single remaining path
+    must close into the full cycle, so every leaf reached is good.
     """
+    if lam.n > 127:
+        raise DegreeTooLarge("degree %d exceeds 127, the largest whose"
+                             " matchings fit in byte rows" % lam.n)
     graph = build_canonical(lam)
+    if lam.n < 2:
+        return (bytes(graph.gray.partner),), b"\1"
     out, bits = [], []
     _search([0] * (2 * lam.n + 1), list(graph.gray.partner),
             list(graph.black.partner), 1, 2 * lam.n, 1, out, bits)
@@ -213,7 +225,7 @@ def good_matchings(lam):
     """All good matchings in lexicographic partner order."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     check_degree(lam.n)
-    return tuple(map(Matching._trusted, _store(lam)[0]))
+    return tuple(map(Matching._trusted, map(tuple, _store(lam)[0])))
 
 
 good_matchings.cache_info = _store.cache_info
@@ -295,31 +307,37 @@ def reduce(graph, delta, a, v):
 
 @lru_cache(maxsize=None)
 def _weight_table(lam):
-    """The weight of every good matching of lam, keyed on its partner tuple.
+    """The weight of every good matching of lam, keyed on its byte row.
 
     Deleting vertex 1 and its partner v lands on a good matching of the
     reduced partition, so the weight is [v unhatted] plus that matching's
     entry in the reduced table; the single good matching of (1) weighs 0.
-    The surgery depends only on v, so it runs once per first partner.
+    The surgery depends only on v, so it runs once per first partner: the
+    getter reads a row's slot 0 and then its partners in the new-label
+    order, and the translate table sends each old label to its new one.
     """
     if not lam:
         raise EmptyPartition("the weight statistic needs at least one box")
-    partners = _store(lam)[0]
+    rows = _store(lam)[0]
     if lam.n == 1:
-        return {partners[0]: 0}
+        return {rows[0]: 0}
     graph = build_canonical(lam)
     steps = {}
     table = {}
-    for p in partners:
-        step = steps.get(p[1])
+    for row in rows:
+        step = steps.get(row[1])
         if step is None:
-            lam2, mapping, _ = _reduce_graph(graph, 1, p[1])
-            # the reduced graph has at least two vertices, so the getter
-            # returns a tuple: p's partners in the new-label order
-            step = steps[p[1]] = (p[1] % 2, _weight_table(lam2),
-                                  mapping.__getitem__, itemgetter(*mapping))
-        hit, sub, relabel, partners_in_order = step
-        table[p] = hit + sub[(0, *map(relabel, partners_in_order(p)))]
+            lam2, mapping, _ = _reduce_graph(graph, 1, row[1])
+            relabel = bytes.maketrans(bytes(mapping), bytes(mapping.values()))
+            step = steps[row[1]] = (row[1] % 2, _weight_table(lam2),
+                                    itemgetter(0, *mapping), relabel)
+        hit, sub, getter, relabel = step
+        try:
+            table[row] = hit + sub[bytes(getter(row)).translate(relabel)]
+        except KeyError:
+            raise BrokenInvariant(
+                "%s: a matching with first partner %s reduces to no good"
+                " matching" % (lam.to_text(), _label_text(row[1]))) from None
     return table
 
 
@@ -337,7 +355,7 @@ def weight(lam, delta):
         return 0
     v = delta.of(1)
     reduced, delta2, _ = reduce(graph, delta, 1, v)
-    return v % 2 + _weight_table(reduced.lam)[delta2.partner]
+    return v % 2 + _weight_table(reduced.lam)[bytes(delta2.partner)]
 
 
 class MatchingEntry(NamedTuple):
@@ -364,9 +382,9 @@ def enumerate_good(lam):
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     check_degree(lam.n)
     table = _weight_table(lam)
-    partners, mixed = _store(lam)
-    entries = tuple(MatchingEntry(Matching._trusted(p), table[p], bool(bit))
-                    for p, bit in zip(partners, mixed))
+    rows, mixed = _store(lam)
+    entries = tuple(MatchingEntry(Matching._trusted(tuple(row)), table[row],
+                                  bool(bit)) for row, bit in zip(rows, mixed))
     if any((e.weight == 0) != e.bipartite for e in entries):
         raise BrokenInvariant("a weight of %s is 0 on a non-bipartite matching"
                               " or positive on a bipartite one" % lam.to_text())
@@ -403,11 +421,11 @@ def counting_recurrence_check(lam, i):
     check_degree(lam.n)
     graph = build_canonical(lam)
     root = 2 * sum(lam[:i - 1]) + 1
-    partners, mixed = _store(lam)
-    good = len(partners)
+    rows, mixed = _store(lam)
+    good = len(rows)
     bipartite = sum(mixed)
-    buckets = Counter(p[root] for p in partners)
-    bip_buckets = Counter(p[root] for p, bit in zip(partners, mixed) if bit)
+    buckets = Counter(map(itemgetter(root), rows))
+    bip_buckets = Counter(map(itemgetter(root), compress(rows, mixed)))
     part = lam[i - 1]
     total_check = 0
     bip_check = 0
@@ -418,10 +436,10 @@ def counting_recurrence_check(lam, i):
             if buckets[v]:
                 return False
             continue
-        reduced = _reduce_graph(graph, root, v)[0]
-        if buckets[v] != good_count(reduced):
+        rows2, mixed2 = _store(_reduce_graph(graph, root, v)[0])
+        if buckets[v] != len(rows2):
             return False
-        want_bip = bipartite_count(reduced) if v % 2 == 0 else 0
+        want_bip = sum(mixed2) if v % 2 == 0 else 0
         if bip_buckets[v] != want_bip:
             return False
         total_check += buckets[v]
@@ -431,14 +449,14 @@ def counting_recurrence_check(lam, i):
     agg = 0
     bip_agg = 0
     if part >= 2:
-        agg += (part - 1) * good_count(down_k(lam, part))
+        agg += (part - 1) * len(_store(down_k(lam, part))[0])
     for d in range(1, part - 1):
-        split = up_kl(lam, part - 1 - d, d)
-        agg += good_count(split)
-        bip_agg += bipartite_count(split)
+        rows2, mixed2 = _store(up_kl(lam, part - 1 - d, d))
+        agg += len(rows2)
+        bip_agg += sum(mixed2)
     for j, other in enumerate(lam):
         if j != i - 1:
-            merged = down_kl(lam, part, other)
-            agg += 2 * other * good_count(merged)
-            bip_agg += other * bipartite_count(merged)
+            rows2, mixed2 = _store(down_kl(lam, part, other))
+            agg += 2 * other * len(rows2)
+            bip_agg += other * sum(mixed2)
     return agg == good and bip_agg == bipartite

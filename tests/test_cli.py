@@ -160,6 +160,25 @@ def test_matchings_listing_is_pinned(lam, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == LISTING_SHA256[lam]
 
 
+# sha256 of `verify --suite S --max-n 7 --format json`; the bench goldens
+# stop at n = 6.
+VERIFY_SEVEN_SHA256 = {
+    "matchings-jack":
+        "42b1c4c81a027415319ac7bd24fda3f8850e38924238b605dcd0109efbef1bba",
+    "comb-rec":
+        "ba3fa16d2f24fb6979c51a392d211b02d5fe0e22036c4e2c84489228643a7738",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_SEVEN_SHA256))
+def test_degree_seven_matching_reports_are_pinned(suite, capsys, monkeypatch):
+    monkeypatch.delenv("JACKCC_MAX_N", raising=False)
+    code, out = run(capsys, ["verify", "--suite", suite, "--max-n", "7",
+                             "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEVEN_SHA256[suite]
+
+
 def test_verify_exit_codes(capsys):
     code, out = run(capsys, ["verify", "--suite", "matchings-jack",
                              "--max-n", "2"])

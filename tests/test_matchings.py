@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -122,17 +123,67 @@ def test_stored_parity_bits_match_the_oracle():
     for n in range(1, 7):
         for lam in generate_partitions(n):
             goods = good_matchings(lam)
-            partners, mixed = _store(lam)
-            assert partners == tuple(m.partner for m in goods), lam
+            rows, mixed = _store(lam)
+            assert (tuple(map(tuple, rows))
+                    == tuple(m.partner for m in goods)), lam
             assert list(mixed) == [int(is_bipartite(m)) for m in goods], lam
             assert good_count(lam) == len(goods), lam
             assert bipartite_count(lam) == sum(map(is_bipartite, goods)), lam
 
 
 def test_pruned_search_is_exhaustive():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for lam in generate_partitions(n):
             assert good_matchings(lam) == _unpruned_good(lam), lam
+
+
+# sha256 over a store's rows, each as the bytes of its partner array, then
+# its parity bits; recorded when the rows were still tuples of ints.
+STORE_SHA256 = {
+    "7": "3dadeb493c8dd86c5dd686fc6dbd3724b04ae8d3e9b4f28a1713f7185a73be75",
+    "6,1": "ec383c7a24157be728648b34e1354e2b1ef515e7c474645175757337f85267a5",
+    "5,2": "3de2cf2c2b441710ffab1430c98c9ecb74ed06d5e5dc8e01e29c7f1870b758f6",
+    "5,1,1": "4a0edcfdbf5e4b6abb1bc147fa11201ce17cf59981f2eefa86e50a96bd3b4429",
+    "4,3": "6de597e546a1f7c3e1f9aeb39ae8cfbc8e9cd34a122a2632848db06bb51c908a",
+    "4,2,1": "cea8ae30d59b9da3cb75b9bce82e3346f754e998066591724c8048ec0fc3a42b",
+    "4,1,1,1": "210ac41158b865f77b2581198f463cf40de2f985fccb188a20b1a2fb6b9caeab",
+    "3,3,1": "5dd9e1c4aa2fec2ef82b5496b39b2e31be1907e60b80e6369c425a4d8b09bf0b",
+    "3,2,2": "a0cbe8ebac8f4b4d55b0cab940f88a2c8dd08618d76902c31de66b0510824d41",
+    "3,2,1,1": "86c0d3ca55235c29c6c1b6273ce1de3ccd077dad1ed2a90b575d07005b1f3f6c",
+    "3,1,1,1,1": "fc2ca65183e6e51784148539c1eb7e5d868c932ce12aa75bfa60a7b2ab45772f",
+    "2,2,2,1": "649f7a0edb33c40dc83f078e85d7654d7200047fc8965edf4761228026f88319",
+    "2,2,1,1,1": "9e13598608f1900918e580724b84bd25303c39c1ff7353cb03f00b1131325706",
+    "2,1,1,1,1,1": "05623d719158ff7aafe9365b4647549e53df178ad66f65b880e497d9540978b6",
+    "1,1,1,1,1,1,1":
+        "35b5b8012c6e7bba50971dc82c5df50c5b2c991fa243bf330a012e5c21eba9af",
+}
+
+
+def test_degree_seven_stores_are_pinned():
+    got = {}
+    for lam in generate_partitions(7):
+        rows, mixed = _store(lam)
+        digest = hashlib.sha256()
+        for row in rows:
+            digest.update(bytes(row))
+        digest.update(mixed)
+        got[lam.to_text()] = digest.hexdigest()
+    assert got == STORE_SHA256
+
+
+def test_store_refuses_labels_beyond_a_byte():
+    # A row holds labels up to 2n = 254.  A regression would start a search
+    # that never ends, so the CLI runs in a child with a time limit.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(matchings.__file__)))
+    done = subprocess.run([sys.executable, "-m", "jackcc.cli", "matchings",
+                           "--lambda", "128"],
+                          env=dict(os.environ, PYTHONPATH=src,
+                                   JACKCC_MAX_N="200"),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: degree 128 exceeds 127")
+    assert done.stderr.count("\n") == 1
 
 
 def test_counts_specialize_the_recurrence():
@@ -283,7 +334,7 @@ def test_table_weight_matches_deletion_oracle():
             assert len(table) == len(goods)
             for m in goods:
                 want = _deletion_weight(lam, m)
-                assert table[m.partner] == want, (lam, m)
+                assert table[bytes(m.partner)] == want, (lam, m)
                 assert weight(lam, m) == want, (lam, m)
 
 
@@ -320,6 +371,15 @@ def test_broken_invariants_raise_typed_errors(monkeypatch):
     monkeypatch.setattr(matchings, "_store", lambda lam: flipped)
     with pytest.raises(BrokenInvariant):
         enumerate_good(P([3]))
+
+
+def test_missing_reduced_row_is_a_broken_invariant(monkeypatch):
+    # Every reduced table comes back empty, so the first row of (3) finds
+    # no entry for its reduction.
+    build = matchings._weight_table.__wrapped__
+    monkeypatch.setattr(matchings, "_weight_table", lambda lam: {})
+    with pytest.raises(BrokenInvariant, match="^3: .* first partner 2 "):
+        build(P([3]))
 
 
 def test_counting_recurrences():
