@@ -14,7 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .algebra import ALPHA, AlphaPoly, RatFunc, substitute_beta
+from .algebra import (
+    ALPHA, ONE, AlphaPoly, RatFunc, _poly, _ratfunc, substitute_beta,
+)
 from .config import check_degree
 from .errors import DegreeMismatch, EmptyPartition, NegativeOrder
 from .jack import jack_table
@@ -56,14 +58,15 @@ def _linear_product(factors):
 
 @lru_cache(maxsize=None)
 def _cauchy_cofactors(n):
-    """An integer common denominator D of the j_gamma over gamma of n, and
-    every cofactor D/j_gamma, all integer polynomials.
+    """An integer common denominator D of the j_gamma over gamma of n, as
+    (factors, K), and every cofactor D/j_gamma, an integer polynomial.
 
     Each monic factor a + p/q of j_gamma is taken as the primitive integer
     factor q*a + p, so j_gamma is a rational c_gamma times these factors.
-    D is K times their lcm L, which takes every factor to its largest
-    multiplicity, with K the lcm of the numerators of the c_gamma; so
-    D/j_gamma is the integer K/c_gamma times the factors j_gamma leaves over.
+    D is K times their lcm: the Counter factors maps each (p, q) to its
+    largest multiplicity, and K is the lcm of the numerators of the
+    c_gamma; so D/j_gamma is the integer K/c_gamma times the factors
+    j_gamma leaves over.
     """
     factored = {}
     for gamma in generate_partitions(n):
@@ -80,31 +83,104 @@ def _cauchy_cofactors(n):
     cofactors = {gamma: _linear_product(common - factors)
                  * (scale * const.denominator // const.numerator)
                  for gamma, (const, factors) in factored.items()}
-    return _linear_product(common) * scale, cofactors
+    return common, scale, cofactors
+
+
+def _divide_out(cs, p, q):
+    """The integer quotient of cs by q*a + p, or None when it leaves a remainder.
+
+    Synthetic division from the top; q*a + p is primitive, so by Gauss's
+    lemma a quotient over the rationals has integer coefficients, and a
+    step that is not an exact integer division means no quotient exists.
+    The factor a (p = 0) only drops a zero constant term.
+    """
+    if not p:
+        return None if cs[0] else cs[1:]
+    quo = [0] * (len(cs) - 1)
+    c = 0
+    for k in range(len(cs) - 1, 0, -1):
+        c, r = divmod(cs[k] - p * c, q)
+        if r:
+            return None
+        quo[k - 1] = c
+    return quo if p * c == cs[0] else None
+
+
+def _over_factors(num, factors, scale):
+    """num / D in lowest terms with a monic denominator, with no gcd.
+
+    num is an integer coefficient list, which is consumed, and D is
+    scale * prod (q*a + p)^m over the items ((p, q), m) of factors.  Each
+    factor is divided out of num up to its multiplicity; the part of D left
+    over is coprime to the quotient, since distinct primitive linear
+    factors share no root.
+    """
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return _ratfunc(AlphaPoly(), ONE)
+    den = ONE
+    lead = scale
+    for (p, q), m in factors.items():
+        while m:
+            quo = _divide_out(num, p, q)
+            if quo is None:
+                den = den * AlphaPoly((Fraction(p, q), 1)) ** m
+                lead *= q ** m
+                break
+            num = quo
+            m -= 1
+    return _ratfunc(_poly([c // lead if c % lead == 0 else Fraction(c, lead)
+                           for c in num]), den)
+
+
+@lru_cache(maxsize=None)
+def _cauchy_weights(others):
+    """Per gamma of n, its theta terms and the integer coefficients of
+    D/j_gamma * prod theta_gamma(other); a gamma whose product is zero is
+    left out.
+
+    The weight does not depend on the index lam1, so every lam1 queried
+    with the same others reuses it.
+    """
+    n = others[0].n
+    table = jack_table(n)
+    weights = []
+    for gamma, cofactor in _cauchy_cofactors(n)[2].items():
+        terms = table.rows[gamma].terms
+        product = cofactor
+        for other in others:
+            theta = terms.get(other)
+            if theta is None:
+                break
+            product = product * theta
+        else:
+            weights.append((terms, product.coeffs))
+    return tuple(weights)
 
 
 @lru_cache(maxsize=None)
 def _cauchy_cached(lam1, others):
-    """Sum every term over the common denominator D, then reduce once.
+    """Sum every term over the common denominator D, then cancel D's factors.
 
-    The characters and the cofactors D/j_gamma are integer polynomials, so
-    the sum is integer arithmetic and the only gcd is the one of the final
-    quotient.
+    The characters and the weights are integer polynomials, so the sum is
+    one integer coefficient list; z * a^len(lam1) times it is then divided
+    by D's known linear factors, with no gcd.
     """
-    n = lam1.n
-    table = jack_table(n)
-    common, cofactors = _cauchy_cofactors(n)
-    total = AlphaPoly()
-    for gamma, cofactor in cofactors.items():
-        product = table.theta(gamma, lam1)
-        for other in others:
-            if product.is_zero:
-                break
-            product = product * table.theta(gamma, other)
-        if not product.is_zero:
-            total = total + product * cofactor
+    total = []
+    for terms, weight in _cauchy_weights(others):
+        theta = terms.get(lam1)
+        if theta is not None:
+            top = len(theta.coeffs) + len(weight) - 1
+            total.extend([0] * (top - len(total)))
+            for i, ci in enumerate(theta.coeffs):
+                if ci:
+                    for j, cj in enumerate(weight, start=i):
+                        total[j] += ci * cj
+    factors, scale, _ = _cauchy_cofactors(lam1.n)
     z = z_aut_class(lam1)[0]
-    return RatFunc(total * AlphaPoly((0,) * len(lam1) + (z,)), common)
+    return _over_factors([0] * len(lam1) + [z * c for c in total],
+                         factors, scale)
 
 
 def a_cauchy(lam1, others):

@@ -424,6 +424,10 @@ def counting_recurrence_check(lam, i):
     rows, mixed = _store(lam)
     good = len(rows)
     bipartite = sum(mixed)
+    if lam.n == 1:
+        # the root's one partner is its gray and black neighbour, so no
+        # bucket reduces: the base case is one good matching, bipartite
+        return good == 1 and bipartite == 1
     buckets = Counter(map(itemgetter(root), rows))
     bip_buckets = Counter(map(itemgetter(root), compress(rows, mixed)))
     part = lam[i - 1]

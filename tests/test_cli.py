@@ -179,6 +179,16 @@ def test_degree_seven_matching_reports_are_pinned(suite, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEVEN_SHA256[suite]
 
 
+def test_degree_seven_thm_rec_report_is_pinned(capsys, monkeypatch):
+    # recorded while the Cauchy route still reduced each value by a gcd
+    monkeypatch.delenv("JACKCC_MAX_N", raising=False)
+    code, out = run(capsys, ["verify", "--suite", "thm-rec", "--max-n", "7",
+                             "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "44b8a4576f9b28d541391af2db20aedf911c85c96badb22a428efa326b15555a")
+
+
 def test_verify_exit_codes(capsys):
     code, out = run(capsys, ["verify", "--suite", "matchings-jack",
                              "--max-n", "2"])

@@ -1,9 +1,11 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+import jackcc.algebra
 import jackcc.connection
 import jackcc.jack
 import jackcc.psum
@@ -13,7 +15,7 @@ from jackcc.connection import (
     verify_thm_rec,
 )
 from jackcc.errors import DegreeMismatch, EmptyPartition
-from jackcc.jack import jack_table
+from jackcc.jack import JackTable, jack_table
 from jackcc.partitions import Partition, generate_partitions, hooks, up_k, z_aut_class
 from jackcc.psum import PSumVector, apply_alpha_Delta, psum_unit
 
@@ -158,7 +160,11 @@ def test_three_routes_agree_at_degree_10(monkeypatch):
 
 def test_cauchy_cofactors_are_integer_polynomials():
     for n in range(0, 9):
-        common, cofactors = jackcc.connection._cauchy_cofactors(n)
+        factors, scale, cofactors = jackcc.connection._cauchy_cofactors(n)
+        assert all(q >= 1 and math.gcd(p, q) == 1 for p, q in factors), n
+        common = AlphaPoly(scale)
+        for (p, q), m in factors.items():
+            common = common * AlphaPoly((p, q)) ** m
         polys = [common, *cofactors.values()]
         assert all(type(c) is int for p in polys for c in p.coeffs), n
         for gamma, cofactor in cofactors.items():
@@ -275,10 +281,10 @@ def test_route_values_are_pinned():
         "10b0a786c96ea51c59e47ce2392e8b2ef1129024fb18a36d7788351c2b693acb")
 
 
-def _per_gamma_cauchy(lam1, others):
+def _per_gamma_cauchy(lam1, others, table=None):
     """The Cauchy sum with one reduced RatFunc addition per gamma."""
     n = lam1.n
-    table = jack_table(n)
+    table = table or jack_table(n)
     total = RatFunc(0)
     for gamma in generate_partitions(n):
         product = table.theta(gamma, lam1)
@@ -296,6 +302,65 @@ def test_cauchy_matches_per_gamma_oracle():
             for mu in parts:
                 want = _per_gamma_cauchy(lam, (P([n]), mu))
                 assert a_cauchy(lam, [P([n]), mu]) == want, (lam, mu)
+    for n in range(1, 5):
+        parts = generate_partitions(n)
+        for lam in parts:
+            for mu in parts:
+                want = _per_gamma_cauchy(lam, (mu,))
+                assert a_cauchy(lam, [mu]) == want, (lam, mu)
+            for others in itertools.combinations_with_replacement(parts, 3):
+                want = _per_gamma_cauchy(lam, others)
+                assert a_cauchy(lam, others) == want, (lam, others)
+
+
+@pytest.fixture
+def cold_cauchy():
+    """Empty the Cauchy caches before and after, so that no value computed
+    under a patch outlives the test."""
+    caches = (jackcc.connection._cauchy_cofactors,
+              jackcc.connection._cauchy_weights,
+              jackcc.connection._cauchy_cached)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_cauchy_skips_a_vanishing_character(monkeypatch, cold_cauchy):
+    """No character vanishes for n <= 7, so one is removed from a copy of
+    the degree-4 table; the values that stop being polynomials keep part
+    of the common denominator."""
+    table = jack_table(4)
+    rows = dict(table.rows)
+    gamma, gone = P([2, 2]), P([3, 1])
+    rows[gamma] = PSumVector(4, {mu: c for mu, c in rows[gamma].terms.items()
+                                 if mu != gone})
+    patched = JackTable(4, rows)
+    monkeypatch.setattr(jackcc.connection, "jack_table", lambda n: patched)
+    parts = generate_partitions(4)
+    seen_fraction = False
+    for lam in parts:
+        for others in ((gone,), (P([4]), gone), (gone, gone, P([2, 1, 1]))):
+            got = a_cauchy(lam, others)
+            assert got == _per_gamma_cauchy(lam, others, patched), (lam, others)
+            seen_fraction |= not got.is_polynomial
+    assert seen_fraction
+
+
+def test_cauchy_runs_no_euclid(monkeypatch, cold_cauchy):
+    def euclid(*args):
+        raise AssertionError("Euclid called")
+
+    for n in range(1, 7):
+        jack_table(n)
+    monkeypatch.setattr(jackcc.algebra, "poly_gcd", euclid)
+    monkeypatch.setattr(AlphaPoly, "__divmod__", euclid)
+    for n in range(1, 7):
+        parts = generate_partitions(n)
+        for lam in parts:
+            for mu in parts:
+                a_cauchy(lam, [P([n]), mu])
 
 
 def test_jack_tables_and_towers_build_no_rational_functions(monkeypatch):

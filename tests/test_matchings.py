@@ -389,6 +389,11 @@ def test_counting_recurrences():
                 assert counting_recurrence_check(lam, i), (lam, i)
 
 
+def test_counting_recurrence_base_case():
+    # The root's one partner, vertex 2, is its gray and black neighbour.
+    assert counting_recurrence_check(P([1]), 1)
+
+
 @pytest.mark.parametrize("i", [0, -1, 3])
 def test_counting_recurrence_rejects_bad_pivot(i):
     with pytest.raises(MissingPart, match="pivot %d " % i):

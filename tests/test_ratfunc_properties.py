@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import jackcc.algebra
 from jackcc.algebra import ONE, AlphaPoly, RatFunc, poly_gcd
+from jackcc.connection import _cauchy_cofactors, _over_factors
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 nonzero = fractions.filter(bool)
@@ -256,5 +257,26 @@ def test_monomial_denominator_matches_the_gcd_reduction(relation, data):
     with mock.patch.object(jackcc.algebra, "poly_gcd",
                            side_effect=AssertionError("Euclid called")):
         r = RatFunc(num, den)
+    assert _stored(r.num) == want_num.coeffs
+    assert _stored(r.den) == want_den.coeffs
+
+
+@given(data=st.data())
+def test_known_factors_match_the_gcd_reduction(data):
+    """An integer polynomial times a sub-multiset of the Cauchy denominator's
+    factors, over that denominator, reduced without Euclid."""
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    factors, scale, _ = _cauchy_cofactors(n)
+    num = AlphaPoly(data.draw(st.lists(st.integers(min_value=-30, max_value=30),
+                                       max_size=6)))
+    den = AlphaPoly(scale)
+    for (p, q), m in sorted(factors.items()):
+        factor = AlphaPoly((p, q))
+        num = num * factor ** data.draw(st.integers(min_value=0, max_value=m))
+        den = den * factor ** m
+    want_num, want_den = _reduce_by_gcd(num, den)
+    with mock.patch.object(jackcc.algebra, "poly_gcd",
+                           side_effect=AssertionError("Euclid called")):
+        r = _over_factors(list(num.coeffs), factors, scale)
     assert _stored(r.num) == want_num.coeffs
     assert _stored(r.den) == want_den.coeffs
