@@ -3,22 +3,28 @@
 AlphaPoly is a dense polynomial in one indeterminate (printed as "a") with
 rational coefficients, each stored as an int when it is integral and as a
 Fraction only when it is not, so integer polynomials add and multiply in
-plain big-int arithmetic.  Coefficient division always goes through
-Fraction.  RatFunc is a quotient of two polynomials kept in lowest terms
-with a monic denominator, which makes equality a plain comparison.
+plain big-int arithmetic.  The ring has no general division: the only
+polynomial division in the package is _divide_linear, the exact quotient
+of an integer polynomial by a primitive linear factor q*a + p, which the
+Jack solver and the Cauchy route share.
+
+RatFunc is the readout type of the connection coefficients: a quotient
+kept in lowest terms with a monic denominator, which makes equality a
+plain comparison.  It offers no field operations.  Each route knows the
+factors of its denominator, so every value is reduced where it is built:
+the constructor reduces a denominator c*a^d, and the Cauchy route cancels
+its known linear factors before it wraps the quotient.
 """
 
 from fractions import Fraction
 from numbers import Number
 
 from .errors import (
-    BadExponent, DivisionByZero, InexactDivision, NotPolynomial, PoleAtPoint,
+    BadExponent, DivisionByZero, InexactDivision, NonMonomialDenominator,
+    NotPolynomial, PoleAtPoint,
 )
 
-__all__ = [
-    "AlphaPoly", "RatFunc", "ALPHA", "ONE",
-    "substitute_beta", "poly_gcd",
-]
+__all__ = ["AlphaPoly", "RatFunc", "ALPHA", "ONE", "substitute_beta"]
 
 
 def _coeff(x):
@@ -28,11 +34,6 @@ def _coeff(x):
     if isinstance(x, int):
         return int(x)
     raise TypeError("expected int or Fraction, got %r" % (x,))
-
-
-def _quotient(a, b):
-    """Exact quotient of two coefficients; int / int would be a float."""
-    return _coeff(Fraction(a, b))
 
 
 class AlphaPoly:
@@ -138,45 +139,6 @@ class AlphaPoly:
         for _ in range(n):
             out = out * self
         return out
-
-    def __divmod__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(o.coeffs)
-        if dq < 0:
-            return AlphaPoly(), self
-        quo = [0] * (dq + 1)
-        lead = o.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = _quotient(rem[k + len(o.coeffs) - 1], lead)
-            quo[k] = c
-            if c:
-                for j, oj in enumerate(o.coeffs):
-                    rem[k + j] -= c * oj
-        return _poly(quo), _poly(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def exact_div(self, other):
-        """Quotient when the division is known to be exact."""
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise InexactDivision("division leaves the remainder %s" % r.to_text())
-        return q
-
-    def monic(self):
-        if self.is_zero:
-            return self
-        lead = self.coeffs[-1]
-        return _poly([_quotient(c, lead) for c in self.coeffs])
 
     def __call__(self, x):
         x = _coeff(x)
@@ -301,19 +263,47 @@ def _difference(a, b):
     return out
 
 
+def _divide_linear(cs, p, q):
+    """The integer quotient of the coefficient list cs by q*a + p.
+
+    q*a + p is primitive (q >= 1, gcd(p, q) = 1) and cs holds integers, so
+    by Gauss's lemma a quotient over the rationals has integer
+    coefficients: synthetic division from the top divides exactly at every
+    step, and a step that does not, or a constant term left over, means no
+    quotient exists and raises InexactDivision.  The factor a (p = 0) only
+    drops a zero constant term.
+    """
+    if not cs:
+        return []
+    if not p:
+        quo, rem = list(cs[1:]), cs[0]
+    else:
+        quo = [0] * (len(cs) - 1)
+        c = 0
+        for k in range(len(cs) - 1, 0, -1):
+            c, rem = divmod(cs[k] - p * c, q)
+            if rem:
+                break
+            quo[k - 1] = c
+        else:
+            rem = cs[0] - p * c
+    if rem:
+        raise InexactDivision("division by %s leaves a remainder"
+                              % AlphaPoly((p, q)).to_text())
+    return quo
+
+
 ALPHA = AlphaPoly((0, 1))
 ONE = AlphaPoly((1,))
 
 
-def poly_gcd(a, b):
-    """Monic greatest common divisor over the rationals."""
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
-
-
 class RatFunc:
-    """Reduced quotient of AlphaPolys.  den is monic and coprime to num."""
+    """Reduced quotient of AlphaPolys.  den is monic and coprime to num.
+
+    The constructor reduces only a denominator c*a^d, whose gcd with num is
+    a power of a; a value over any other denominator is built by the route
+    that knows its factors, through _ratfunc.
+    """
 
     __slots__ = ("num", "den")
 
@@ -322,26 +312,23 @@ class RatFunc:
         den = den if isinstance(den, AlphaPoly) else AlphaPoly(den)
         if den.is_zero:
             raise DivisionByZero("zero denominator")
+        if any(den.coeffs[:-1]):
+            raise NonMonomialDenominator(
+                "denominator %s is not of the form c*a^d" % den.to_text())
         if num.is_zero:
             self.num, self.den = AlphaPoly(), ONE
             return
-        if den.degree > 0 and not any(den.coeffs[:-1]):
-            # den = c a^d: the gcd is a^k, k the smaller of d and the
-            # order of num at 0, so both drop their first k coefficients
-            k = 0
-            while k < den.degree and not num.coeffs[k]:
-                k += 1
-            if k:
-                num = AlphaPoly(num.coeffs[k:])
-                den = AlphaPoly(den.coeffs[k:])
-        elif den.degree > 0:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
+        # the gcd is a^k, k the smaller of d and the order of num at 0, so
+        # both drop their first k coefficients
+        k = 0
+        while k < den.degree and not num.coeffs[k]:
+            k += 1
+        if k:
+            num = AlphaPoly(num.coeffs[k:])
+            den = AlphaPoly(den.coeffs[k:])
         lead = den.leading
         if lead != 1:
-            inv = _quotient(1, lead)
+            inv = _coeff(Fraction(1, lead))
             num = num * inv
             den = den * inv
         self.num, self.den = num, den
@@ -367,63 +354,15 @@ class RatFunc:
             raise NotPolynomial("denominator is %s" % self.den.to_text())
         return self.num
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if self.is_zero:
-            return o
-        if o.is_zero:
-            return self
-        if self.is_polynomial and o.is_polynomial:
-            return _ratfunc(self.num + o.num, ONE)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _ratfunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
-        if type(other) is int or type(other) is Fraction:
-            # a nonzero constant leaves num and den coprime and den monic
-            if not other:
-                return _ratfunc(AlphaPoly(), ONE)
-            return _ratfunc(self.num * other, self.den)
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if self.is_polynomial and o.is_polynomial:
-            return _ratfunc(self.num * o.num, ONE)
-        return RatFunc(self.num * o.num, self.den * o.den)
+        # a nonzero constant leaves num and den coprime and den monic
+        if not other:
+            return _ratfunc(AlphaPoly(), ONE)
+        return _ratfunc(self.num * other, self.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.is_zero:
-            raise DivisionByZero("division by the zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
 
     def __eq__(self, other):
         o = self._coerce(other)

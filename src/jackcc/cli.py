@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 from .algebra import substitute_beta
 from .connection import (
     CoeffResult, a_cauchy, a_lr, a_nn_recurrence, generator_properties,
-    verify_i_independence, verify_thm_rec,
+    thm_rec_sides, verify_i_independence,
 )
 from .errors import (
     DegreeTooLarge, DegreeTooSmall, IoError, JackccError, MissingPart,
@@ -144,9 +144,8 @@ def _checks_thm_rec(max_n):
                 desc = "lambda %s against nu %s" % (lam.to_text(), nu.to_text())
 
                 def run(lam=lam, nu=nu):
-                    ok = verify_thm_rec(lam, nu)
-                    word = "equal" if ok else "differ"
-                    return ok, word, word
+                    lhs, rhs = thm_rec_sides(lam, nu)
+                    return lhs == rhs, lhs.to_text(), rhs.to_text()
 
                 out.append((desc, run))
     return out

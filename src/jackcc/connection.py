@@ -15,10 +15,13 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .algebra import (
-    ALPHA, ONE, AlphaPoly, RatFunc, _poly, _ratfunc, substitute_beta,
+    ALPHA, ONE, AlphaPoly, RatFunc, _divide_linear, _poly, _ratfunc,
+    substitute_beta,
 )
 from .config import check_degree
-from .errors import DegreeMismatch, EmptyPartition, NegativeOrder
+from .errors import (
+    DegreeMismatch, EmptyPartition, InexactDivision, NegativeOrder,
+)
 from .jack import jack_table
 from .partitions import (
     Partition, down_k, down_kl, generate_partitions, hook_factors, up_k,
@@ -28,7 +31,7 @@ from .psum import apply_D, apply_alpha_Delta, psum_unit
 
 __all__ = [
     "CoeffResult", "a_cauchy", "a_nn_recurrence", "verify_i_independence",
-    "verify_thm_rec", "a_lr", "generator_properties",
+    "thm_rec_sides", "verify_thm_rec", "a_lr", "generator_properties",
 ]
 
 
@@ -86,26 +89,6 @@ def _cauchy_cofactors(n):
     return common, scale, cofactors
 
 
-def _divide_out(cs, p, q):
-    """The integer quotient of cs by q*a + p, or None when it leaves a remainder.
-
-    Synthetic division from the top; q*a + p is primitive, so by Gauss's
-    lemma a quotient over the rationals has integer coefficients, and a
-    step that is not an exact integer division means no quotient exists.
-    The factor a (p = 0) only drops a zero constant term.
-    """
-    if not p:
-        return None if cs[0] else cs[1:]
-    quo = [0] * (len(cs) - 1)
-    c = 0
-    for k in range(len(cs) - 1, 0, -1):
-        c, r = divmod(cs[k] - p * c, q)
-        if r:
-            return None
-        quo[k - 1] = c
-    return quo if p * c == cs[0] else None
-
-
 def _over_factors(num, factors, scale):
     """num / D in lowest terms with a monic denominator, with no gcd.
 
@@ -123,12 +106,12 @@ def _over_factors(num, factors, scale):
     lead = scale
     for (p, q), m in factors.items():
         while m:
-            quo = _divide_out(num, p, q)
-            if quo is None:
+            try:
+                num = _divide_linear(num, p, q)
+            except InexactDivision:
                 den = den * AlphaPoly((Fraction(p, q), 1)) ** m
                 lead *= q ** m
                 break
-            num = quo
             m -= 1
     return _ratfunc(_poly([c // lead if c % lead == 0 else Fraction(c, lead)
                            for c in num]), den)
@@ -258,12 +241,13 @@ def verify_i_independence(lam):
     return all(v == values[0] for v in values)
 
 
-def verify_thm_rec(lam, nu):
-    """Check the mixed identity tying degree n+1 coefficients to degree n.
+def thm_rec_sides(lam, nu):
+    """Both sides of the mixed identity tying degree n+1 coefficients to degree n.
 
     The left side sums over the part values i-1 present in nu, growing one
     of them; the right side applies the part-surgery bracket to lam inside
-    a coefficient with lower indices (n) and nu.
+    a coefficient with lower indices (n) and nu.  Every coefficient read is
+    a polynomial, and one that is not raises NotPolynomial.
     """
     lam, nu = _as_partition(lam), _as_partition(nu)
     if lam.n != nu.n + 1:
@@ -273,18 +257,25 @@ def verify_thm_rec(lam, nu):
     if n == 0:
         raise EmptyPartition("the raising identity needs nu of weight at least 1")
     mults = nu.multiplicities()
-    lhs = RatFunc(0)
+    lhs = AlphaPoly()
     for value in mults:
         i = value + 1
         factor = i * (mults.get(i, 0) + 1)
-        lhs = lhs + a_cauchy(lam, [Partition([n + 1]), up_k(nu, value)]) * factor
+        grown = a_cauchy(lam, [Partition([n + 1]), up_k(nu, value)])
+        lhs = lhs + grown.as_poly() * factor
 
     def coefficient_of(rho):
-        return a_cauchy(rho, [Partition([n]), nu])
+        return a_cauchy(rho, [Partition([n]), nu]).as_poly()
 
-    rhs = RatFunc(0)
+    rhs = AlphaPoly()
     for pos, part in enumerate(lam):
         rhs = rhs + _bracket(lam, pos, coefficient_of) * part
+    return lhs, rhs
+
+
+def verify_thm_rec(lam, nu):
+    """True when both sides of the mixed identity agree."""
+    lhs, rhs = thm_rec_sides(lam, nu)
     return lhs == rhs
 
 

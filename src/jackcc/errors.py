@@ -15,7 +15,7 @@ class MissingPart(JackccError, ValueError):
 
 
 class DivisionByZero(JackccError, ZeroDivisionError):
-    """Division by a zero polynomial or rational function."""
+    """A RatFunc was asked for over the zero denominator."""
 
 
 class NotPolynomial(JackccError, ValueError):
@@ -23,7 +23,11 @@ class NotPolynomial(JackccError, ValueError):
 
 
 class InexactDivision(JackccError, ArithmeticError):
-    """A polynomial division that had to be exact left a remainder."""
+    """Division of an integer polynomial by a primitive linear factor left a remainder."""
+
+
+class NonMonomialDenominator(JackccError, ValueError):
+    """A RatFunc was asked for over a denominator that is not c*a^d, the only kind it reduces."""
 
 
 class PoleAtPoint(JackccError, ArithmeticError):

@@ -10,18 +10,21 @@ it:
     (e_lam - e_kappa) c_kappa = sum_{mu > kappa} c_mu B[mu][kappa],
 
 where B, the off-diagonal part of D on the m basis, is Stanley's integer
-box-move rule.  Every c_kappa is a polynomial in alpha, so each step is an
-exact polynomial division; one back substitution into power sums then
-gives theta, with theta on [1^n] equal to 1.  Partitions sharing an
-eigenvalue, such as (2,2,2) and (3,1,1,1), are never comparable in
-dominance, so no gap vanishes.
+box-move rule.  Every c_kappa is a polynomial in alpha with integer
+coefficients (Knop and Sahi, Invent. Math. 128, 1997), so each step is
+one exact integer division by the linear gap; one back substitution into
+power sums then gives theta, with theta on [1^n] equal to 1.  The gap is
+q*alpha + p with q = n(lam') - n(kappa') > 0 for kappa below lam in
+dominance, so it never vanishes, though partitions such as (2,2,2) and
+(3,1,1,1) share an eigenvalue: they are not comparable.
 """
 
+import math
 from functools import lru_cache
 
-from .algebra import AlphaPoly
+from .algebra import AlphaPoly, _divide_linear, _poly
 from .config import check_degree
-from .errors import DegenerateSystem, DegreeMismatch
+from .errors import DegenerateSystem, DegreeMismatch, InexactDivision
 from .partitions import (
     Partition, eigenvalue, generate_partitions, hooks, leq_dominance,
     z_aut_class,
@@ -60,16 +63,23 @@ def _solve_row(lam, matrix, eigenvalues):
     for kappa in order[order.index(lam) + 1:]:
         if not leq_dominance(kappa, lam):
             continue
+        # the gap q*a + p is g times the primitive factor (q/g)*a + p/g
         gap = e - eigenvalues[kappa]
-        if gap.is_zero:
-            raise DegenerateSystem("eigenvalue of %s recurs at %s"
+        p, q = gap.coeff(0), gap.coeff(1)
+        if q <= 0:
+            raise DegenerateSystem("eigenvalue of %s does not rise above %s's"
                                    % (lam.to_text(), kappa.to_text()))
+        g = math.gcd(p, q)
         total = _ZERO
         for mu, c in coeffs.items():
             entry = matrix[mu].get(kappa)
             if entry is not None:
                 total = total + c * entry
-        coeffs[kappa] = total.exact_div(gap)
+        quo = _divide_linear(total.coeffs, p // g, q // g)
+        if any(c % g for c in quo):
+            raise InexactDivision("%s is not a multiple of %d" % (
+                AlphaPoly(quo).to_text(), g))
+        coeffs[kappa] = _poly([c // g for c in quo])
     row = m_to_p(MonomialVector(n, coeffs))
     if row.coeff(Partition([1] * n)) != 1:
         raise DegenerateSystem(

@@ -180,13 +180,28 @@ def test_degree_seven_matching_reports_are_pinned(suite, capsys, monkeypatch):
 
 
 def test_degree_seven_thm_rec_report_is_pinned(capsys, monkeypatch):
-    # recorded while the Cauchy route still reduced each value by a gcd
+    # each check writes both sides' polynomial text
     monkeypatch.delenv("JACKCC_MAX_N", raising=False)
     code, out = run(capsys, ["verify", "--suite", "thm-rec", "--max-n", "7",
                              "--format", "json"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "44b8a4576f9b28d541391af2db20aedf911c85c96badb22a428efa326b15555a")
+        "2d04b0203d3ed7931c793d9f0ce3ccf4c1eb55bba4336d7d27b7641ef75598ce")
+
+
+def test_thm_rec_report_shows_the_values(capsys, monkeypatch):
+    """Doubling every Cauchy value keeps each identity, but the report of
+    the compared values must change with it."""
+    argv = ["verify", "--suite", "thm-rec", "--max-n", "4", "--format", "json"]
+    code, plain = run(capsys, argv)
+    assert code == 0
+    cauchy = jackcc.connection.a_cauchy
+    monkeypatch.setattr(jackcc.connection, "a_cauchy",
+                        lambda lam, others: cauchy(lam, others) * 2)
+    code, doubled = run(capsys, argv)
+    assert code == 0
+    assert json.loads(doubled)["passed"]
+    assert doubled != plain
 
 
 def test_verify_exit_codes(capsys):
@@ -379,10 +394,10 @@ def _python(*args):
 
 
 def test_checks_survive_optimized_mode():
-    probe = ("from jackcc.algebra import AlphaPoly\n"
+    probe = ("from jackcc.algebra import _divide_linear\n"
              "from jackcc.errors import InexactDivision\n"
              "try:\n"
-             "    AlphaPoly((1, 1)).exact_div(AlphaPoly((0, 1)))\n"
+             "    _divide_linear([1, 1], 0, 1)\n"
              "except InexactDivision:\n"
              "    print('raised')\n")
     done = _python("-O", "-c", probe)
@@ -461,6 +476,17 @@ def _loads_outside_own_definition(tree, name):
         if _loads_outside_own_definition(node, name):
             return True
     return False
+
+
+def test_every_public_name_resolves():
+    # bench/spans.install reads getattr(jackcc.algebra, name) for every name
+    # of algebra.__all__, and the layers' names likewise, so a stale name
+    # would break a traced benchmark run
+    modules = [jackcc] + [getattr(jackcc, module) for module in _API_MODULES]
+    missing = ["%s.%s" % (module.__name__, name)
+               for module in modules for name in module.__all__
+               if not hasattr(module, name)]
+    assert missing == []
 
 
 def test_every_public_name_has_a_caller():

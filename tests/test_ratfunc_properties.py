@@ -1,11 +1,12 @@
 """Property tests for the coefficient ring and the RatFunc canonical form.
 
 AlphaPoly stores an integral coefficient as an int and any other as a
-Fraction; the oracle below redoes every operation on plain Fraction lists.
+Fraction; the oracle below redoes every operation on plain Fraction lists,
+and the reductions are checked against Euclid from algebra_oracle.
 """
 
+import math
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 
@@ -14,13 +15,27 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import jackcc.algebra
-from jackcc.algebra import ONE, AlphaPoly, RatFunc, poly_gcd
+from algebra_oracle import poly_gcd, reduced
+from jackcc.algebra import ONE, AlphaPoly, RatFunc, _divide_linear
 from jackcc.connection import _cauchy_cofactors, _over_factors
+from jackcc.errors import InexactDivision, NonMonomialDenominator
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 nonzero = fractions.filter(bool)
 polys = st.lists(fractions, max_size=6).map(AlphaPoly)
 nonconstant = polys.filter(lambda p: p.degree >= 1)
+
+
+def _is_monomial(p):
+    return not any(p.coeffs[:-1])
+
+
+@st.composite
+def _monomials(draw):
+    """c*a^d with c a nonzero int or Fraction and 0 <= d <= 4."""
+    c = draw(st.one_of(st.integers(min_value=-30, max_value=30), nonzero)
+             .filter(bool))
+    return AlphaPoly([0] * draw(st.integers(min_value=0, max_value=4)) + [c])
 
 
 @given(polys, nonzero)
@@ -32,13 +47,19 @@ def test_constant_denominator_is_a_scaling(p, c):
 
 @given(polys, nonzero)
 def test_gcd_with_a_constant_is_one(p, c):
+    # the test oracle's Euclid, which the reduction checks rely on
     if not p.is_zero:
         assert poly_gcd(p, AlphaPoly(c)) == ONE
         assert poly_gcd(AlphaPoly(c), p) == ONE
 
 
-@given(polys, nonconstant)
+@given(polys, st.one_of(nonconstant, _monomials()))
 def test_reduced_form_for_polynomial_denominators(p, q):
+    """A denominator c*a^d is reduced; any other one is refused."""
+    if not _is_monomial(q):
+        with pytest.raises(NonMonomialDenominator):
+            RatFunc(p, q)
+        return
     r = RatFunc(p, q)
     assert r.den.leading == Fraction(1)
     assert r.num * q == p * r.den
@@ -48,22 +69,10 @@ def test_reduced_form_for_polynomial_denominators(p, q):
         assert poly_gcd(r.num, r.den) == ONE
 
 
-@given(polys, polys, polys)
-def test_polynomial_operands_match_the_general_formula(p, q, d):
-    x, y = RatFunc(p), RatFunc(q)
-    assert x + y == RatFunc(p + q)
-    assert x * y == RatFunc(p * q)
-    if not d.is_zero:
-        z = RatFunc(q, d)
-        assert x + z == RatFunc(p * d + q, d)
-        assert x * z == RatFunc(p * q, d)
-
-
 # ---- int-or-Fraction coefficients against an all-Fraction oracle ----
 
 coeffs = st.one_of(st.integers(min_value=-30, max_value=30), fractions)
 raw_polys = st.lists(coeffs, max_size=6)
-nonzero_raw = raw_polys.filter(lambda cs: any(cs))
 
 
 def _trim(cs):
@@ -133,14 +142,35 @@ def test_ring_operations_against_the_oracle(x, y):
     assert _stored(p * q) == _o_mul(a, b)
 
 
-@given(raw_polys, nonzero_raw)
-def test_division_against_the_oracle(x, y):
-    p, q = AlphaPoly(x), AlphaPoly(y)
-    a, b = _trim(x), _trim(y)
-    quo, rem = divmod(p, q)
-    assert (_stored(quo), _stored(rem)) == _o_divmod(a, b)
-    assert _stored((p * q).exact_div(q)) == a
-    assert _stored(q.monic()) == tuple(c / b[-1] for c in b)
+ints = st.integers(min_value=-30, max_value=30)
+int_lists = st.lists(ints, max_size=6)
+
+
+@st.composite
+def _primitive_factors(draw):
+    """(p, q) with q >= 1 and gcd(p, q) = 1: the factor q*a + p."""
+    q = draw(st.integers(min_value=1, max_value=6))
+    p = draw(ints.filter(lambda p: math.gcd(p, q) == 1))
+    return p, q
+
+
+@given(int_lists, int_lists, _primitive_factors())
+def test_division_against_the_oracle(x, y, factor):
+    """The exact linear division, on a multiple of the factor and on any
+    integer polynomial, against the long division of the oracle."""
+    p, q = factor
+    lin = (Fraction(p), Fraction(q))
+    multiple = list((AlphaPoly(x) * AlphaPoly((p, q))).coeffs)
+    assert _stored(AlphaPoly(_divide_linear(multiple, p, q))) == _trim(x)
+    quo, rem = _o_divmod(_trim(y), lin)
+    cs = list(AlphaPoly(y).coeffs)
+    if rem:
+        with pytest.raises(InexactDivision):
+            _divide_linear(cs, p, q)
+    else:
+        got = _divide_linear(cs, p, q)
+        assert all(type(c) is int for c in got)
+        assert _trim(got) == quo
 
 
 @given(raw_polys, coeffs)
@@ -156,22 +186,22 @@ def test_serialisations_store_the_same_form(x):
     assert _stored(AlphaPoly.from_text(p.to_text())) == _trim(x)
 
 
-@given(raw_polys, nonzero_raw)
+@given(raw_polys, _monomials())
 def test_non_monic_denominator_is_normalised(x, y):
-    b = _trim(y)
-    r = RatFunc(AlphaPoly(x), AlphaPoly(y))
+    b = _trim(y.coeffs)
+    r = RatFunc(AlphaPoly(x), y)
     num, den = _stored(r.num), _stored(r.den)
     assert den[-1] == 1
     assert _o_mul(num, b) == _o_mul(_trim(x), den)
 
 
-@given(raw_polys, nonzero_raw, coeffs)
+@given(raw_polys, _monomials(), coeffs)
 def test_eval_at_returns_a_fraction(x, y, point):
     p = AlphaPoly(x)
     value = p(point)
     assert type(value) is Fraction
     assert value == _o_eval(_trim(x), Fraction(point))
-    r = RatFunc(p, AlphaPoly(y))
+    r = RatFunc(p, y)
     if r.den(point) != 0:
         assert type(r.eval_at(point)) is Fraction
 
@@ -208,29 +238,26 @@ def test_bool_is_a_coefficient_of_one():
     assert _stored(AlphaPoly((1, 2)) * True) == (1, 2)
 
 
-@given(raw_polys, nonzero_raw, scalars)
+@given(raw_polys, _monomials(), scalars)
 def test_ratfunc_scalar_paths_against_the_general_form(x, y, c):
-    r = RatFunc(AlphaPoly(x), AlphaPoly(y))
+    r = RatFunc(AlphaPoly(x), y)
     want_num = _o_mul(_trim(r.num.coeffs), (Fraction(c),))
     want_den = _trim(r.den.coeffs) if want_num else (Fraction(1),)
     for scaled in (r * c, c * r):
         assert _stored(scaled.num) == want_num
         assert _stored(scaled.den) == want_den
         assert scaled == RatFunc(r.num * AlphaPoly(c), r.den)
-    zero = RatFunc(0)
-    for total in (zero + r, r + zero):
-        assert (_stored(total.num), _stored(total.den)) == (r.num.coeffs,
-                                                           r.den.coeffs)
-    assert _stored((-r).num) == _o_neg(_trim(r.num.coeffs))
-    assert -r == RatFunc(-r.num, r.den)
+    for other in (r, AlphaPoly(x), y):
+        with pytest.raises(TypeError):
+            r * other
 
 
-# ---- monomial denominators c*a^d, reduced without Euclid ----
+# ---- monomial denominators c*a^d and known factors, reduced without Euclid ----
 
-def _reduce_by_gcd(num, den):
-    g = poly_gcd(num, den)
-    num, den = num.exact_div(g), den.exact_div(g)
-    return num * Fraction(1, den.leading), den.monic()
+def _assert_no_euclid():
+    assert not hasattr(jackcc.algebra, "poly_gcd")
+    for name in ("__divmod__", "__floordiv__", "__mod__", "exact_div", "monic"):
+        assert not hasattr(AlphaPoly, name), name
 
 
 @st.composite
@@ -253,10 +280,9 @@ def test_monomial_denominator_matches_the_gcd_reduction(relation, data):
     c = data.draw(st.one_of(st.integers(min_value=-30, max_value=30), nonzero)
                   .filter(bool))
     den = AlphaPoly([0] * d + [c])
-    want_num, want_den = _reduce_by_gcd(num, den)
-    with mock.patch.object(jackcc.algebra, "poly_gcd",
-                           side_effect=AssertionError("Euclid called")):
-        r = RatFunc(num, den)
+    want_num, want_den = reduced(num, den)
+    _assert_no_euclid()
+    r = RatFunc(num, den)
     assert _stored(r.num) == want_num.coeffs
     assert _stored(r.den) == want_den.coeffs
 
@@ -274,9 +300,8 @@ def test_known_factors_match_the_gcd_reduction(data):
         factor = AlphaPoly((p, q))
         num = num * factor ** data.draw(st.integers(min_value=0, max_value=m))
         den = den * factor ** m
-    want_num, want_den = _reduce_by_gcd(num, den)
-    with mock.patch.object(jackcc.algebra, "poly_gcd",
-                           side_effect=AssertionError("Euclid called")):
-        r = _over_factors(list(num.coeffs), factors, scale)
+    want_num, want_den = reduced(num, den)
+    _assert_no_euclid()
+    r = _over_factors(list(num.coeffs), factors, scale)
     assert _stored(r.num) == want_num.coeffs
     assert _stored(r.den) == want_den.coeffs
