@@ -3,10 +3,12 @@
 AlphaPoly is a dense polynomial in one indeterminate (printed as "a") with
 rational coefficients, each stored as an int when it is integral and as a
 Fraction only when it is not, so integer polynomials add and multiply in
-plain big-int arithmetic.  The ring has no general division: the only
-polynomial division in the package is _divide_linear, the exact quotient
-of an integer polynomial by a primitive linear factor q*a + p, which the
-Jack solver and the Cauchy route share.
+plain big-int arithmetic.  The ring has no general division.  The hot
+loops skip the polynomial objects and work on integer coefficient lists:
+_addmul accumulates a scaled, shifted list into another, _divide_linear
+is the exact quotient by a linear factor q*a + p, which the Jack solver
+and the Cauchy route share, and _divide_int the exact quotient by an
+integer.
 
 RatFunc is the readout type of the connection coefficients: a quotient
 kept in lowest terms with a monic denominator, which makes equality a
@@ -188,32 +190,6 @@ class AlphaPoly:
                 parts.append("%s*%s^%d" % (c, var, k))
         return " + ".join(parts).replace("+ -", "- ")
 
-    @classmethod
-    def from_text(cls, text, var="a"):
-        s = text.strip()
-        if s in ("", "0"):
-            return cls()
-        coeffs = {}
-        for token in s.replace("- ", "+ -").split("+"):
-            token = token.strip()
-            if not token:
-                continue
-            if var in token:
-                head, _, tail = token.partition(var)
-                head = head.strip().rstrip("*").strip()
-                if head in ("", "-"):
-                    head += "1"
-                power = int(tail.lstrip("^")) if tail else 1
-                coef = Fraction(head)
-            else:
-                power = 0
-                coef = Fraction(token)
-            coeffs[power] = coeffs.get(power, 0) + coef
-        out = [0] * (max(coeffs) + 1)
-        for k, c in coeffs.items():
-            out[k] = c
-        return cls(out)
-
     def to_json(self):
         return [[str(c.numerator), str(c.denominator)] for c in self.coeffs]
 
@@ -263,34 +239,48 @@ def _difference(a, b):
     return out
 
 
-def _divide_linear(cs, p, q):
-    """The integer quotient of the coefficient list cs by q*a + p.
+def _addmul(acc, cs, k, shift=0):
+    """acc[shift + j] += k * cs[j] for every j, growing the list acc as needed."""
+    acc.extend([0] * (shift + len(cs) - len(acc)))
+    for j, c in enumerate(cs, start=shift):
+        acc[j] += k * c
 
-    q*a + p is primitive (q >= 1, gcd(p, q) = 1) and cs holds integers, so
-    by Gauss's lemma a quotient over the rationals has integer
-    coefficients: synthetic division from the top divides exactly at every
-    step, and a step that does not, or a constant term left over, means no
-    quotient exists and raises InexactDivision.  The factor a (p = 0) only
-    drops a zero constant term.
+
+def _divide_linear(cs, p, q):
+    """The integer quotient of the coefficient list cs by q*a + p, q >= 1.
+
+    cs holds integers.  Synthetic division from the top finds the unique
+    quotient over the rationals one coefficient at a time, so a step that
+    does not divide exactly, or a constant term left over, means no integer
+    quotient exists and raises InexactDivision.  q*a + p need not be
+    primitive: dividing by 2a + 2 works whenever the quotient is integral.
     """
     if not cs:
         return []
-    if not p:
-        quo, rem = list(cs[1:]), cs[0]
+    quo = [0] * (len(cs) - 1)
+    c = 0
+    for k in range(len(cs) - 1, 0, -1):
+        c, rem = divmod(cs[k] - p * c, q)
+        if rem:
+            break
+        quo[k - 1] = c
     else:
-        quo = [0] * (len(cs) - 1)
-        c = 0
-        for k in range(len(cs) - 1, 0, -1):
-            c, rem = divmod(cs[k] - p * c, q)
-            if rem:
-                break
-            quo[k - 1] = c
-        else:
-            rem = cs[0] - p * c
+        rem = cs[0] - p * c
     if rem:
         raise InexactDivision("division by %s leaves a remainder"
                               % AlphaPoly((p, q)).to_text())
     return quo
+
+
+def _divide_int(cs, d):
+    """The integer quotient of the coefficient list cs by the integer d.
+
+    A coefficient that d does not divide raises InexactDivision.
+    """
+    if any(c % d for c in cs):
+        raise InexactDivision("%d does not divide %s"
+                              % (d, AlphaPoly(cs).to_text()))
+    return [c // d for c in cs]
 
 
 ALPHA = AlphaPoly((0, 1))

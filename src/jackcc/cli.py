@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 from .algebra import substitute_beta
 from .connection import (
     CoeffResult, a_cauchy, a_lr, a_nn_recurrence, generator_properties,
-    thm_rec_sides, verify_i_independence,
+    pivot_values, thm_rec_sides,
 )
 from .errors import (
     DegreeTooLarge, DegreeTooSmall, IoError, JackccError, MissingPart,
@@ -158,9 +158,10 @@ def _checks_i_indep(max_n):
             desc = "pivot choices agree on %s" % lam.to_text()
 
             def run(lam=lam):
-                ok = verify_i_independence(lam)
-                word = "agree" if ok else "differ"
-                return ok, word, word
+                first, *others = pivot_values(lam)
+                ok = all(v == first for v in others)
+                rhs = "; ".join(v.to_text() for v in others) or "no other part"
+                return ok, first.to_text(), rhs
 
             out.append((desc, run))
     return out

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .algebra import (
-    ALPHA, ONE, AlphaPoly, RatFunc, _divide_linear, _poly, _ratfunc,
+    ALPHA, ONE, AlphaPoly, RatFunc, _addmul, _divide_linear, _poly, _ratfunc,
     substitute_beta,
 )
 from .config import check_degree
@@ -30,8 +30,9 @@ from .partitions import (
 from .psum import apply_D, apply_alpha_Delta, psum_unit
 
 __all__ = [
-    "CoeffResult", "a_cauchy", "a_nn_recurrence", "verify_i_independence",
-    "thm_rec_sides", "verify_thm_rec", "a_lr", "generator_properties",
+    "CoeffResult", "a_cauchy", "a_nn_recurrence", "pivot_values",
+    "verify_i_independence", "thm_rec_sides", "verify_thm_rec", "a_lr",
+    "generator_properties",
 ]
 
 
@@ -154,12 +155,9 @@ def _cauchy_cached(lam1, others):
     for terms, weight in _cauchy_weights(others):
         theta = terms.get(lam1)
         if theta is not None:
-            top = len(theta.coeffs) + len(weight) - 1
-            total.extend([0] * (top - len(total)))
             for i, ci in enumerate(theta.coeffs):
                 if ci:
-                    for j, cj in enumerate(weight, start=i):
-                        total[j] += ci * cj
+                    _addmul(total, weight, ci, i)
     factors, scale, _ = _cauchy_cofactors(lam1.n)
     z = z_aut_class(lam1)[0]
     return _over_factors([0] * len(lam1) + [z * c for c in total],
@@ -228,16 +226,17 @@ def _a_nn(lam):
 a_nn_recurrence.cache_info = _a_nn.cache_info
 
 
-def verify_i_independence(lam):
-    """True when every pivot part yields the identical bracket value."""
+def pivot_values(lam):
+    """The bracket value pivoting on each distinct part of lam, largest first."""
     lam = _as_partition(lam)
     check_degree(lam.n)
-    seen = set()
-    values = []
-    for pos, part in enumerate(lam):
-        if part not in seen:
-            seen.add(part)
-            values.append(_bracket(lam, pos, a_nn_recurrence))
+    return [_bracket(lam, pos, a_nn_recurrence)
+            for pos, part in enumerate(lam) if not pos or lam[pos - 1] != part]
+
+
+def verify_i_independence(lam):
+    """True when every pivot part yields the identical bracket value."""
+    values = pivot_values(lam)
     return all(v == values[0] for v in values)
 
 

@@ -11,29 +11,25 @@ it:
 
 where B, the off-diagonal part of D on the m basis, is Stanley's integer
 box-move rule.  Every c_kappa is a polynomial in alpha with integer
-coefficients (Knop and Sahi, Invent. Math. 128, 1997), so each step is
-one exact integer division by the linear gap; one back substitution into
-power sums then gives theta, with theta on [1^n] equal to 1.  The gap is
-q*alpha + p with q = n(lam') - n(kappa') > 0 for kappa below lam in
-dominance, so it never vanishes, though partitions such as (2,2,2) and
-(3,1,1,1) share an eigenvalue: they are not comparable.
+coefficients (Knop and Sahi, Invent. Math. 128, 1997), and so is every
+power-sum coefficient theta, so the solver works on plain integer
+coefficient lists: each c_kappa is one exact integer division by the whole
+linear gap, and one back substitution on the integer transition matrix
+p -> m, dividing by its diagonal, gives theta, with theta on [1^n] equal
+to 1.  The gap is q*alpha + p with q = n(lam') - n(kappa') > 0 for kappa
+below lam in dominance, so it never vanishes, though partitions such as
+(2,2,2) and (3,1,1,1) share an eigenvalue: they are not comparable.
 """
 
-import math
 from functools import lru_cache
 
-from .algebra import AlphaPoly, _divide_linear, _poly
+from .algebra import AlphaPoly, _addmul, _divide_int, _divide_linear, _poly
 from .config import check_degree
-from .errors import DegenerateSystem, DegreeMismatch, InexactDivision
-from .partitions import (
-    Partition, eigenvalue, generate_partitions, hooks, leq_dominance,
-    z_aut_class,
-)
-from .psum import MonomialVector, PSumVector, m_to_p
+from .errors import DegenerateSystem, DegreeMismatch
+from .partitions import Partition, eigenvalue, generate_partitions, z_aut_class
+from .psum import PSumVector, transition_matrix
 
 __all__ = ["JackTable", "jack_table", "inner_product"]
-
-_ZERO = AlphaPoly()
 
 
 def _d_on_monomials(n):
@@ -54,37 +50,55 @@ def _d_on_monomials(n):
     return matrix
 
 
-def _solve_row(lam, matrix, eigenvalues):
-    """Power-sum expansion of J_lam by back substitution on the m basis."""
+def _solve_row(lam, matrix, eigenvalues, transition):
+    """Power-sum expansion of J_lam by two back substitutions on integer lists.
+
+    Each c_kappa, solved in generation order, adds c_kappa * B[kappa][nu]
+    into the sum of every nu below it; theta_kappa, solved from the
+    dominance-smallest kappa upward, subtracts theta_kappa * R[kappa][nu]
+    from the residue of every nu above it.  Only the finished row is made
+    of polynomials.
+    """
     n = lam.n
     order = generate_partitions(n)
-    e = eigenvalues[lam]
-    coeffs = {lam: hooks(lam)[0]}
-    for kappa in order[order.index(lam) + 1:]:
-        if not leq_dominance(kappa, lam):
+    e0, e1 = eigenvalues[lam]
+    # c_lam, the product of arm*a + leg + 1 over the boxes of lam
+    top = [1]
+    for box in lam.boxes():
+        grown = [(box.leg + 1) * c for c in top]
+        if box.arm:
+            _addmul(grown, top, box.arm, 1)
+        top = grown
+    sums = {lam: top}
+    for kappa in order[order.index(lam):]:
+        total = sums.get(kappa)
+        if total is None:
             continue
-        # the gap q*a + p is g times the primitive factor (q/g)*a + p/g
-        gap = e - eigenvalues[kappa]
-        p, q = gap.coeff(0), gap.coeff(1)
-        if q <= 0:
-            raise DegenerateSystem("eigenvalue of %s does not rise above %s's"
-                                   % (lam.to_text(), kappa.to_text()))
-        g = math.gcd(p, q)
-        total = _ZERO
-        for mu, c in coeffs.items():
-            entry = matrix[mu].get(kappa)
-            if entry is not None:
-                total = total + c * entry
-        quo = _divide_linear(total.coeffs, p // g, q // g)
-        if any(c % g for c in quo):
-            raise InexactDivision("%s is not a multiple of %d" % (
-                AlphaPoly(quo).to_text(), g))
-        coeffs[kappa] = _poly([c // g for c in quo])
-    row = m_to_p(MonomialVector(n, coeffs))
-    if row.coeff(Partition([1] * n)) != 1:
+        if kappa != lam:
+            k0, k1 = eigenvalues[kappa]
+            p, q = e0 - k0, e1 - k1
+            if q <= 0:
+                raise DegenerateSystem(
+                    "eigenvalue of %s does not rise above %s's"
+                    % (lam.to_text(), kappa.to_text()))
+            total = sums[kappa] = _divide_linear(total, p, q)
+        for nu, entry in matrix[kappa].items():
+            _addmul(sums.setdefault(nu, []), total, entry)
+    row = {}
+    for kappa in reversed(order):
+        residue = sums.get(kappa)
+        if residue is None:
+            continue
+        theta = _divide_int(residue, transition[kappa][kappa])
+        if any(theta):
+            row[kappa] = _poly(theta)
+            for nu, entry in transition[kappa].items():
+                if nu != kappa:
+                    _addmul(sums.setdefault(nu, []), theta, -entry)
+    if row.get(Partition([1] * n)) != 1:
         raise DegenerateSystem(
             "expansion of %s is not 1 on the all-ones class" % lam.to_text())
-    return row
+    return PSumVector(n, row)
 
 
 class JackTable:
@@ -122,8 +136,12 @@ class JackTable:
 @lru_cache(maxsize=None)
 def _build_table(n):
     matrix = _d_on_monomials(n)
-    eigenvalues = {lam: eigenvalue(lam) for lam in generate_partitions(n)}
-    return JackTable(n, {lam: _solve_row(lam, matrix, eigenvalues)
+    transition = transition_matrix(n)
+    eigenvalues = {}
+    for lam in generate_partitions(n):
+        e = eigenvalue(lam)
+        eigenvalues[lam] = e.coeff(0), e.coeff(1)
+    return JackTable(n, {lam: _solve_row(lam, matrix, eigenvalues, transition)
                          for lam in generate_partitions(n)})
 
 
@@ -146,12 +164,7 @@ def inner_product(u, v):
         other = v.terms.get(mu)
         if other is not None:
             z = z_aut_class(mu)[0]
-            base = len(mu)
-            top = base + c.degree + other.degree + 1
-            total.extend([0] * (top - len(total)))
-            for i, ci in enumerate(c.coeffs, start=base):
+            for i, ci in enumerate(c.coeffs, start=len(mu)):
                 if ci:
-                    zc = z * ci
-                    for j, cj in enumerate(other.coeffs, start=i):
-                        total[j] += zc * cj
+                    _addmul(total, other.coeffs, z * ci, i)
     return AlphaPoly(total)

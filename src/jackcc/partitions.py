@@ -39,10 +39,6 @@ class Partition(tuple):
         """The weight, the sum of all parts."""
         return sum(self)
 
-    def mult(self, i):
-        """Number of parts equal to i."""
-        return self.count(i)
-
     def multiplicities(self):
         return Counter(self)
 

@@ -1,4 +1,4 @@
-"""Homogeneous symmetric functions on the power-sum and monomial bases.
+"""Homogeneous symmetric functions on the power-sum basis.
 
 Vectors are sparse maps from partitions of a fixed degree to AlphaPoly
 coefficients: Jack characters, D and the alpha-scaled bracket tower are all
@@ -9,7 +9,6 @@ factor m_i and removes one part, so every operator below reduces to
 integer multiplicity bookkeeping on the key.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -19,16 +18,16 @@ from .errors import DegreeMismatch, NegativeOrder
 from .partitions import Partition, generate_partitions
 
 __all__ = [
-    "PSumVector", "MonomialVector", "psum_unit",
+    "PSumVector", "psum_unit",
     "apply_D", "multiply_p1", "apply_alpha_Delta",
-    "p_to_m", "m_to_p", "transition_matrix",
+    "p_to_m", "transition_matrix",
 ]
 
 _ZERO = AlphaPoly()
 
 
-class _GradedVector:
-    """Common container behaviour shared by both bases."""
+class PSumVector:
+    """Expansion on the p_mu basis, mu running over partitions of degree."""
 
     __slots__ = ("degree", "terms")
 
@@ -59,7 +58,7 @@ class _GradedVector:
         return sorted(self.terms.items(), reverse=True)
 
     def __add__(self, other):
-        if type(other) is not type(self):
+        if type(other) is not PSumVector:
             return NotImplemented
         if other.degree != self.degree:
             raise DegreeMismatch(
@@ -67,38 +66,31 @@ class _GradedVector:
         out = dict(self.terms)
         for mu, c in other.terms.items():
             out[mu] = out.get(mu, _ZERO) + c
-        return type(self)(self.degree, out)
+        return PSumVector(self.degree, out)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
+        if type(other) is not PSumVector:
             return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, c):
         c = _require_poly(c)
-        return type(self)(
+        return PSumVector(
             self.degree, {mu: v * c for mu, v in self.terms.items()})
 
     def __eq__(self, other):
-        return (type(other) is type(self)
+        return (type(other) is PSumVector
                 and other.degree == self.degree
                 and other.terms == self.terms)
 
     def __hash__(self):
-        return hash((type(self).__name__, self.degree,
-                     frozenset(self.terms.items())))
+        return hash((self.degree, frozenset(self.terms.items())))
 
     def __repr__(self):
         body = " + ".join(
-            "(%s)*%s_%s" % (c.to_text(), self._letter, mu.to_text())
+            "(%s)*p_%s" % (c.to_text(), mu.to_text())
             for mu, c in self.items())
         return body or "0[deg %d]" % self.degree
-
-
-class PSumVector(_GradedVector):
-    """Expansion on the p_mu basis, mu running over partitions of degree."""
-
-    _letter = "p"
 
     def to_json(self):
         return {"degree": self.degree,
@@ -110,12 +102,6 @@ class PSumVector(_GradedVector):
         return cls(data["degree"],
                    [(Partition.from_text(t["mu"]), RatFunc.from_json(t["coeff"]))
                     for t in data["terms"]])
-
-
-class MonomialVector(_GradedVector):
-    """Expansion on the m_mu basis; produced and consumed by p_to_m/m_to_p."""
-
-    _letter = "m"
 
 
 def psum_unit(mu):
@@ -231,30 +217,14 @@ def transition_matrix(n):
 
 
 def p_to_m(v):
+    """The nonzero monomial coefficients of v, as a dict {lam: AlphaPoly}.
+
+    The package solves the other direction on integer lists inside the
+    Jack solver; this one is kept for the tests as an oracle.
+    """
     matrix = transition_matrix(v.degree)
     out = {}
     for mu, c in v.terms.items():
         for lam, entry in matrix[mu].items():
             out[lam] = out.get(lam, _ZERO) + c * entry
-    return MonomialVector(v.degree, out)
-
-
-def m_to_p(w):
-    """Invert the triangular transition by back substitution.
-
-    Partitions are visited from the dominance-smallest upward; every
-    off-diagonal entry of a row points at a strictly later partition, so
-    those coordinates are already known.
-    """
-    matrix = transition_matrix(w.degree)
-    order = generate_partitions(w.degree)
-    solved = {}
-    for lam in reversed(order):
-        residue = w.terms.get(lam, _ZERO)
-        for mu, known in solved.items():
-            entry = matrix[mu].get(lam)
-            if entry:
-                residue = residue - known * entry
-        if not residue.is_zero:
-            solved[lam] = residue * Fraction(1, matrix[lam][lam])
-    return PSumVector(w.degree, solved)
+    return {lam: c for lam, c in out.items() if c}

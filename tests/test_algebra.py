@@ -5,7 +5,8 @@ import pytest
 
 from algebra_oracle import poly_divmod, poly_gcd
 from jackcc.algebra import (
-    ALPHA, ONE, AlphaPoly, RatFunc, _divide_linear, substitute_beta,
+    ALPHA, ONE, AlphaPoly, RatFunc, _divide_int, _divide_linear,
+    substitute_beta,
 )
 from jackcc.errors import (
     BadExponent, DivisionByZero, InexactDivision, NonMonomialDenominator,
@@ -52,15 +53,27 @@ def test_divmod_and_gcd():
 
 
 def test_exact_div():
-    # the package's one polynomial division: by a primitive linear factor
+    # the package's one polynomial division: by a linear factor, primitive
+    # or not; 2a^2 + 4a + 2 = (2a + 2)(a + 1), while (a + 1)/(2a + 2) = 1/2
+    # is only rational, so it has no integer quotient
     assert _divide_linear([-1, 0, 1], 1, 1) == [-1, 1]
     assert _divide_linear((0, 3, 6), 0, 1) == [3, 6]
     assert _divide_linear([-2, -1, 1], -2, 1) == [1, 1]
     assert _divide_linear([], 5, 3) == []
+    assert _divide_linear([2, 4, 2], 2, 2) == [1, 1]
+    assert _divide_linear([0, 6, 3], 0, 3) == [2, 1]
     for cs, p, q in [((1, 1), 0, 1), ((1, 0, 1), 1, 1), ((4,), 1, 2),
-                     ((1, 2), 1, 3)]:
+                     ((1, 2), 1, 3), ((1, 1), 2, 2), ((0, 1), 0, 2),
+                     ((3, 6), 3, 3)]:
         with pytest.raises(InexactDivision):
             _divide_linear(cs, p, q)
+
+
+def test_integer_division():
+    assert _divide_int([6, -4, 0, 2], 2) == [3, -2, 0, 1]
+    assert _divide_int([], 7) == []
+    with pytest.raises(InexactDivision):
+        _divide_int([6, 3], 2)
 
 
 def test_shift_round_trip_to_degree_50():
@@ -128,17 +141,16 @@ def test_reduction_idempotent():
     assert again.num == r.num and again.den == r.den
 
 
-def test_text_round_trip():
+def test_text_form():
     samples = [
         AlphaPoly(),
         AlphaPoly([Fraction(1, 2)]),
         AlphaPoly([2, -3, 2]),
         AlphaPoly([0, Fraction(-7, 3), 0, 1]),
     ]
-    for p in samples:
-        assert AlphaPoly.from_text(p.to_text()) == p
-    assert AlphaPoly([2, -3, 2]).to_text() == "2 - 3*a + 2*a^2"
-    assert AlphaPoly.from_text("a^2 - a") == AlphaPoly([0, -1, 1])
+    want = ["0", "1/2", "2 - 3*a + 2*a^2", "-7/3*a + 1*a^3"]
+    assert [p.to_text() for p in samples] == want
+    assert AlphaPoly([0, -1, 1]).to_text("b") == "-1*b + 1*b^2"
 
 
 def test_json_round_trip():

@@ -189,6 +189,38 @@ def test_degree_seven_thm_rec_report_is_pinned(capsys, monkeypatch):
         "2d04b0203d3ed7931c793d9f0ce3ccf4c1eb55bba4336d7d27b7641ef75598ce")
 
 
+def test_i_indep_report_is_pinned(capsys, monkeypatch):
+    # each check writes the value pivoting on the largest part, then the
+    # values pivoting on every other distinct part; the report that wrote
+    # "agree" on both sides had sha256 4c3720b0...
+    monkeypatch.delenv("JACKCC_MAX_N", raising=False)
+    code, out = run(capsys, ["verify", "--suite", "i-indep", "--max-n", "7",
+                             "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ede886c655e164fe71a602554f70d9cf86c1fffe96038839a0979c145aeea029")
+
+
+def test_i_indep_report_shows_the_values(capsys, monkeypatch):
+    """Doubling every bracket keeps the pivots in agreement, but the report
+    of the compared values must change with it."""
+    argv = ["verify", "--suite", "i-indep", "--max-n", "5", "--format", "json"]
+    code, plain = run(capsys, argv)
+    assert code == 0
+    bracket = jackcc.connection._bracket
+    monkeypatch.setattr(jackcc.connection, "_bracket",
+                        lambda *args: bracket(*args) * 2)
+    try:
+        code, doubled = run(capsys, argv)
+    finally:
+        # a cold recurrence cache would have kept doubled values
+        monkeypatch.undo()
+        jackcc.connection._a_nn.cache_clear()
+    assert code == 0
+    assert json.loads(doubled)["passed"]
+    assert doubled != plain
+
+
 def test_thm_rec_report_shows_the_values(capsys, monkeypatch):
     """Doubling every Cauchy value keeps each identity, but the report of
     the compared values must change with it."""
@@ -394,15 +426,17 @@ def _python(*args):
 
 
 def test_checks_survive_optimized_mode():
-    probe = ("from jackcc.algebra import _divide_linear\n"
+    probe = ("from jackcc.algebra import _divide_int, _divide_linear\n"
              "from jackcc.errors import InexactDivision\n"
-             "try:\n"
-             "    _divide_linear([1, 1], 0, 1)\n"
-             "except InexactDivision:\n"
-             "    print('raised')\n")
+             "for call in [lambda: _divide_linear([1, 1], 0, 1),\n"
+             "             lambda: _divide_int([6, 3], 2)]:\n"
+             "    try:\n"
+             "        call()\n"
+             "    except InexactDivision:\n"
+             "        print('raised')\n")
     done = _python("-O", "-c", probe)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "raised\n"
+    assert done.stdout == "raised\n" * 2
     argv = ["-m", "jackcc.cli", "jack", "--n", "4", "--format", "json"]
     plain, optimized = _python(*argv), _python("-O", *argv)
     assert plain.returncode == optimized.returncode == 0
@@ -460,8 +494,8 @@ def test_no_assert_in_package_source():
 _API_MODULES = ("algebra", "partitions", "psum", "jack", "connection",
                 "matchings", "cli")
 # kept for the tests as independent oracles, with no caller in the package
-_ORACLES = {"partitions.theta_top", "matchings.is_bipartite", "matchings.weight",
-            "psum.p_to_m"}
+_ORACLES = {"partitions.theta_top", "partitions.leq_dominance",
+            "matchings.is_bipartite", "matchings.weight", "psum.p_to_m"}
 
 
 def _loads_outside_own_definition(tree, name):

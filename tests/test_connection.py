@@ -110,7 +110,7 @@ def _remark_identities(mu):
     grown = Partition(tuple(mu) + (1,))
     checks.append(a_nn_recurrence(grown) == a_nn_recurrence(mu) * (ALPHA * (n - 1)))
 
-    ones = mu.mult(1)
+    ones = mu.count(1)
     core = Partition([p for p in mu if p > 1])
     if ones and core:
         m, total = ones, mu.n

@@ -113,7 +113,7 @@ def test_modify_weight_changes():
                 assert up_kl(lam, a, k - 1 - a).n == n - 1
         for k in set(lam):
             for l in set(lam):
-                if k == l and lam.mult(k) < 2:
+                if k == l and lam.count(k) < 2:
                     continue
                 assert down_kl(lam, k, l).n == n - 1
 

@@ -183,7 +183,6 @@ def test_shift_against_the_oracle(x, c):
 def test_serialisations_store_the_same_form(x):
     p = AlphaPoly(x)
     assert _stored(AlphaPoly.from_json(p.to_json())) == _trim(x)
-    assert _stored(AlphaPoly.from_text(p.to_text())) == _trim(x)
 
 
 @given(raw_polys, _monomials())
