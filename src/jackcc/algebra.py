@@ -10,6 +10,15 @@ is the exact quotient by a linear factor q*a + p, which the Jack solver
 and the Cauchy route share, and _divide_int the exact quotient by an
 integer.
 
+Sums of products of integer polynomials run packed (Kronecker
+substitution; Harvey, J. Symbolic Comput. 44, 2009): _pack evaluates each
+list at a = 2^B, the products and the sum are big-int operations, and
+_unpack reads the coefficients back as balanced base-2^B digits.  The
+digits are the coefficients only while each lies below 2^(B-1) in
+absolute value, so B is always _width of a bound proven for the sum at
+hand: by the triangle inequality, no coefficient of sum w*f*g exceeds
+sum |w| |f|_1 |g|_1, |f|_1 the sum of the absolute coefficients of f.
+
 RatFunc is the readout type of the connection coefficients: a quotient
 kept in lowest terms with a monic denominator, which makes equality a
 plain comparison.  It offers no field operations.  Each route knows the
@@ -244,6 +253,41 @@ def _addmul(acc, cs, k, shift=0):
     acc.extend([0] * (shift + len(cs) - len(acc)))
     for j, c in enumerate(cs, start=shift):
         acc[j] += k * c
+
+
+def _width(bound):
+    """The least B >= 2 with 2^(B-1) > bound, so that balanced base-2^B
+    digits hold every integer of absolute value at most bound.
+
+    Base 2 is excluded: its digits -1 and 0 write no positive integer.
+    """
+    return max(bound.bit_length() + 1, 2)
+
+
+def _pack(cs, B):
+    """The integer coefficient list cs evaluated at a = 2^B, by Horner."""
+    x = 0
+    for c in reversed(cs):
+        x = (x << B) + c
+    return x
+
+
+def _unpack(x, B):
+    """The balanced base-2^B digits of x, lowest first: the list cs with
+    _pack(cs, B) == x whose entries lie in [-2^(B-1), 2^(B-1)).
+
+    The digits are cs itself when every entry of cs is bounded by bound
+    and B is _width(bound); a narrower B reads other digits.  B >= 2, so
+    that each step shrinks x and the digits end.
+    """
+    half = 1 << (B - 1)
+    mask = (1 << B) - 1
+    out = []
+    while x:
+        d = ((x + half) & mask) - half
+        out.append(d)
+        x = (x - d) >> B
+    return out
 
 
 def _divide_linear(cs, p, q):

@@ -12,6 +12,7 @@ import io
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple, Optional
 
 from .algebra import substitute_beta
@@ -96,12 +97,46 @@ class Table(NamedTuple):
         return self.headers, self.rows
 
 
+def _json(value, pad=""):
+    """The text json.dumps(value, indent=2) writes for value, nested at pad.
+
+    CPython falls back to its pure-Python encoder whenever indent is set;
+    this writes the same bytes with one join per container and the C
+    string escaper.  Dict keys must be strings; a float, or a value of any
+    other type, is written by json.dumps itself.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return "[\n%s%s\n%s]" % (
+            inner, (",\n" + inner).join([_json(v, inner) for v in value]), pad)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        return "{\n%s%s\n%s}" % (
+            inner, (",\n" + inner).join([_quote(k) + ": " + _json(v, inner)
+                                        for k, v in value.items()]), pad)
+    return json.dumps(value)
+
+
 def emit(payload, fmt, path=None):
     """Render a payload and write it to path or standard output."""
     if fmt == "text":
         body = payload.to_text()
     elif fmt == "json":
-        body = json.dumps(payload.to_json(), indent=2) + "\n"
+        body = _json(payload.to_json()) + "\n"
     elif fmt == "csv":
         header, rows = payload.to_csv_rows()
         sink = io.StringIO()
@@ -405,6 +440,17 @@ def _cmd_verify(args):
     return report, (0 if report.passed else 1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line, exit status 2.
+
+    The subcommand parsers are made with the parser's own class, so every
+    level reports its errors this way.
+    """
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
 def build_parser():
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("text", "json", "csv"),
@@ -412,7 +458,7 @@ def build_parser():
     shared.add_argument("--out", default=None, metavar="PATH")
     shared.add_argument("--max-n", dest="max_n", type=int, default=None)
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="jackcc",
         description="Exact Jack polynomial connection coefficients.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -15,8 +15,8 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .algebra import (
-    ALPHA, ONE, AlphaPoly, RatFunc, _addmul, _divide_linear, _poly, _ratfunc,
-    substitute_beta,
+    ALPHA, ONE, AlphaPoly, RatFunc, _divide_linear, _pack, _poly, _ratfunc,
+    _unpack, _width, substitute_beta,
 )
 from .config import check_degree
 from .errors import (
@@ -119,13 +119,23 @@ def _over_factors(num, factors, scale):
 
 
 @lru_cache(maxsize=None)
-def _cauchy_weights(others):
-    """Per gamma of n, its theta terms and the integer coefficients of
-    D/j_gamma * prod theta_gamma(other); a gamma whose product is zero is
-    left out.
+def _theta_norm(table):
+    """The largest |theta|_1, the sum of the absolute coefficients, over
+    every character of one Jack table."""
+    return max(sum(map(abs, theta.coeffs))
+               for row in table.rows.values() for theta in row.terms.values())
 
-    The weight does not depend on the index lam1, so every lam1 queried
-    with the same others reuses it.
+
+@lru_cache(maxsize=None)
+def _cauchy_weights(others):
+    """A packing width B and, per gamma of n, its theta terms and the
+    integer polynomial D/j_gamma * prod theta_gamma(other) packed at 2^B; a
+    gamma whose product is zero is left out.
+
+    No coefficient of sum_gamma theta_gamma(lam1) w_gamma exceeds
+    T * sum |w_gamma|_1, T the table's largest |theta|_1, whatever lam1 is,
+    so B is the _width of that bound.  The weights do not depend on lam1,
+    so every lam1 queried with the same others reuses them.
     """
     n = others[0].n
     table = jack_table(n)
@@ -140,7 +150,8 @@ def _cauchy_weights(others):
             product = product * theta
         else:
             weights.append((terms, product.coeffs))
-    return tuple(weights)
+    B = _width(_theta_norm(table) * sum(sum(map(abs, w)) for _, w in weights))
+    return B, tuple((terms, _pack(w, B)) for terms, w in weights)
 
 
 @lru_cache(maxsize=None)
@@ -148,19 +159,18 @@ def _cauchy_cached(lam1, others):
     """Sum every term over the common denominator D, then cancel D's factors.
 
     The characters and the weights are integer polynomials, so the sum is
-    one integer coefficient list; z * a^len(lam1) times it is then divided
-    by D's known linear factors, with no gcd.
+    one big integer at alpha = 2^B, unpacked once; z * a^len(lam1) times it
+    is then divided by D's known linear factors, with no gcd.
     """
-    total = []
-    for terms, weight in _cauchy_weights(others):
+    B, weights = _cauchy_weights(others)
+    total = 0
+    for terms, weight in weights:
         theta = terms.get(lam1)
         if theta is not None:
-            for i, ci in enumerate(theta.coeffs):
-                if ci:
-                    _addmul(total, weight, ci, i)
+            total += _pack(theta.coeffs, B) * weight
     factors, scale, _ = _cauchy_cofactors(lam1.n)
     z = z_aut_class(lam1)[0]
-    return _over_factors([0] * len(lam1) + [z * c for c in total],
+    return _over_factors([0] * len(lam1) + [z * c for c in _unpack(total, B)],
                          factors, scale)
 
 

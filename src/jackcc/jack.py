@@ -21,9 +21,14 @@ below lam in dominance, so it never vanishes, though partitions such as
 (2,2,2) and (3,1,1,1) share an eigenvalue: they are not comparable.
 """
 
+import math
+from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import AlphaPoly, _addmul, _divide_int, _divide_linear, _poly
+from .algebra import (
+    AlphaPoly, _addmul, _divide_int, _divide_linear, _pack, _poly, _unpack,
+    _width,
+)
 from .config import check_degree
 from .errors import DegenerateSystem, DegreeMismatch
 from .partitions import Partition, eigenvalue, generate_partitions, z_aut_class
@@ -154,17 +159,38 @@ def jack_table(n):
 def inner_product(u, v):
     """Power-sum pairing <p_lam, p_mu> = alpha^len(lam) z_lam delta.
 
-    Every term z_mu c_i c'_j alpha^(len(mu)+i+j) adds into one coefficient
-    list at that offset, so no polynomial is built per term.
+    The sum runs packed at alpha = 2^B: each shared mu adds
+    z_mu P(c) P(c') 2^(B len(mu)), P = algebra._pack, and one _unpack reads
+    the coefficients off.  Fractions are cleared first by the lcm L of
+    their denominators (L = 1 for Jack rows), so the packed sum is L^2
+    times the pairing.  No coefficient of it exceeds the sum of
+    z_mu |c|_1 |c'|_1, and B is the _width of that bound.
     """
     if u.degree != v.degree:
         raise DegreeMismatch("degrees %d and %d" % (u.degree, v.degree))
-    total = []
+    shared = []
+    bound = 0
     for mu, c in u.terms.items():
         other = v.terms.get(mu)
         if other is not None:
             z = z_aut_class(mu)[0]
-            for i, ci in enumerate(c.coeffs, start=len(mu)):
-                if ci:
-                    _addmul(total, other.coeffs, z * ci, i)
-    return AlphaPoly(total)
+            shared.append((z, len(mu), c.coeffs, other.coeffs))
+            bound += (z * sum(map(abs, c.coeffs))
+                      * sum(map(abs, other.coeffs)))
+    scale = 1
+    if type(bound) is not int:
+        # some shared coefficient is a Fraction (an AlphaPoly stores no
+        # integral one), and a sum with a Fraction in it stays one
+        scale = math.lcm(*{x.denominator for _, _, c, d in shared
+                           for x in c + d if type(x) is not int})
+        shared = [(z, l, [(x * scale).numerator for x in c],
+                   [(x * scale).numerator for x in d])
+                  for z, l, c, d in shared]
+        bound = (bound * scale * scale).numerator
+    B = _width(bound)
+    total = sum((z * _pack(c, B) * _pack(d, B)) << (B * l)
+                for z, l, c, d in shared)
+    cs = _unpack(total, B)
+    if scale != 1:
+        cs = [Fraction(x, scale * scale) for x in cs]
+    return AlphaPoly(cs)

@@ -118,6 +118,11 @@ generate_partitions.cache_info = _generate_partitions.cache_info
 
 def z_aut_class(lam):
     """The centralizer order z, the part permutation count Aut, and the class size n!/z."""
+    return _z_aut_class(lam if type(lam) is Partition else Partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _z_aut_class(lam):
     z = 1
     aut = 1
     for i, m in Counter(lam).items():

@@ -5,8 +5,8 @@ import pytest
 
 from algebra_oracle import poly_divmod, poly_gcd
 from jackcc.algebra import (
-    ALPHA, ONE, AlphaPoly, RatFunc, _divide_int, _divide_linear,
-    substitute_beta,
+    ALPHA, ONE, AlphaPoly, RatFunc, _divide_int, _divide_linear, _pack,
+    _unpack, _width, substitute_beta,
 )
 from jackcc.errors import (
     BadExponent, DivisionByZero, InexactDivision, NonMonomialDenominator,
@@ -74,6 +74,35 @@ def test_integer_division():
     assert _divide_int([], 7) == []
     with pytest.raises(InexactDivision):
         _divide_int([6, 3], 2)
+
+
+@pytest.mark.parametrize("bound", [2, 3, 7, 8, 255, 256, 2 ** 70 - 1,
+                                   2 ** 70, 3 ** 50])
+def test_packing_width_is_the_least_that_holds_the_bound(bound):
+    B = _width(bound)
+    assert 2 ** (B - 1) > bound >= 2 ** (B - 2)
+    rng = random.Random(bound)
+    lists = [[bound], [-bound], [bound, -bound, 0, bound],
+             [0, 0, -bound, bound, -bound], [-bound, 0, 0, -bound]]
+    lists += [[rng.randint(-bound, bound) for _ in range(rng.randint(1, 9))]
+              + [bound] for _ in range(20)]
+    for cs in lists:
+        assert _unpack(_pack(cs, B), B) == cs
+        if bound in cs:
+            # +bound is no balanced digit one bit narrower
+            assert _unpack(_pack(cs, B - 1), B - 1) != cs
+    # -bound is a digit one bit narrower only when bound is a power of 2
+    narrow = _unpack(_pack([-bound, 1], B - 1), B - 1)
+    assert (narrow == [-bound, 1]) == (bound & (bound - 1) == 0)
+
+
+def test_packing_round_trip_keeps_low_zeros_and_drops_high_ones():
+    assert _width(0) == _width(1) == 2
+    assert _unpack(_pack([1, -1, 1], 2), 2) == [1, -1, 1]
+    assert _unpack(0, 5) == []
+    assert _pack([], 5) == 0
+    assert _unpack(_pack([0, 0, 3, 0, 0], 4), 4) == [0, 0, 3]
+    assert _unpack(_pack([-1, 1], 3), 3) == [-1, 1]
 
 
 def test_shift_round_trip_to_degree_50():

@@ -273,6 +273,40 @@ def test_out_flag_bad_path(tmp_path, capsys):
     assert code == 2
 
 
+def test_json_writer_matches_the_standard_encoder():
+    # emit's writer must give json.dumps(obj, indent=2) byte for byte
+    samples = [
+        [], {}, [[]], [{}], {"a": []}, {"a": {}, "b": [[], {}]},
+        "", "plain", "quote \" backslash \\ slash /", "\n\t\r\b\f\x00\x1f",
+        "caf\u00e9 \u2208 \U0001d6fc", {"\u00e9": ["\u00e9"]},
+        0, -1, 10 ** 40, -(10 ** 40), True, False, None,
+        [True, False, None, 0, ""], (1, (2, ())), 1.5, [float("inf")],
+        {"nested": [{"deeper": [[1, [2, {"x": None}]]]}]},
+    ]
+    for obj in samples:
+        assert cli._json(obj) == json.dumps(obj, indent=2), obj
+
+
+def test_json_writer_on_every_payload(capsys, monkeypatch):
+    monkeypatch.setenv("JACKCC_MAX_N", "8")
+    for n in range(1, 9):
+        obj = jack_table(n).to_json()
+        assert cli._json(obj) == json.dumps(obj, indent=2), n
+    for name in cli._SUITES:
+        obj = run_suite(name).to_json()
+        assert cli._json(obj) == json.dumps(obj, indent=2), name
+    for argv in (["partitions", "5"], ["jack", "--lambda", "3,1"],
+                 ["connect", "--lambda", "2,1", "--with", "3", "--with", "2,1"],
+                 ["connect", "--lambda", "2,2", "--with", "2,2"],
+                 ["connect-nn", "--n", "5"], ["connect-nn", "--lambda", "3,2"],
+                 ["connect-nn", "--lambda", "3,2", "--beta"],
+                 ["connect-lr", "--lambda", "2,1", "--l", "3", "--r", "1"],
+                 ["matchings", "--lambda", "3,1", "--weights"]):
+        code, out = run(capsys, argv + ["--format", "json"])
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+
 def test_emit_rejects_unknown_format():
     table = Table(("a",), (("1",),))
     with pytest.raises(UnsupportedFormat):
@@ -385,6 +419,31 @@ def test_max_n_admits_its_own_degree(argv, capsys):
 def test_bound_below_what_runs(argv, capsys):
     assert main(argv) == 2
     assert _one_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize("optimize", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["jack", "--n", "3", "--format", "xml"],
+    ["jack", "--n", "abc"],
+    ["jack", "--n", "3", "--bogus"],
+    ["verify"],
+    ["no-such-command"],
+    [],
+])
+def test_usage_errors_are_one_line(argv, optimize):
+    flags = ["-O"] if optimize else []
+    done = _python(*flags, "-m", "jackcc.cli", *argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: jackcc")
 
 
 def test_threads_flag_is_gone(capsys):

@@ -291,6 +291,23 @@ def test_route_values_are_pinned():
         "10b0a786c96ea51c59e47ce2392e8b2ef1129024fb18a36d7788351c2b693acb")
 
 
+def test_every_triple_of_degrees_six_and_seven_is_pinned():
+    """sha256 of the Cauchy value of every (lam, mu, nu) of degree 6 and 7,
+    recorded from the coefficient-list sum before it was packed."""
+    lines = []
+    for n in (6, 7):
+        parts = generate_partitions(n)
+        for lam in parts:
+            for mu in parts:
+                for nu in parts:
+                    lines.append("%s|%s|%s|%s" % (
+                        lam.to_text(), mu.to_text(), nu.to_text(),
+                        a_cauchy(lam, [mu, nu]).to_text()))
+    assert len(lines) == 11 ** 3 + 15 ** 3
+    assert _digest(lines) == (
+        "8377fba001e565b661d7fcf07c68b60c09129e2a5ff73885a01e63fd97709d21")
+
+
 @lru_cache(maxsize=None)
 def _hook_products(n):
     """The product of every j_gamma of n, and per gamma the product of the
@@ -352,6 +369,7 @@ def cold_cauchy():
     """Empty the Cauchy caches before and after, so that no value computed
     under a patch outlives the test."""
     caches = (jackcc.connection._cauchy_cofactors,
+              jackcc.connection._theta_norm,
               jackcc.connection._cauchy_weights,
               jackcc.connection._cauchy_cached)
     for cache in caches:

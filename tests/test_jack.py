@@ -148,6 +148,28 @@ def test_inner_product_matches_the_term_by_term_sum():
         assert all(type(c) is int or c.denominator != 1 for c in got)
 
 
+def test_inner_product_with_wide_coefficients():
+    # coefficients near +-2^70 with mixed signs and denominators: the
+    # packed sum must still read back every coefficient exactly
+    rng = random.Random(2 ** 70)
+    top = 2 ** 70
+    for n in range(1, 7):
+        parts = generate_partitions(n)
+        for _ in range(30):
+            u, v = (PSumVector(n, {
+                mu: AlphaPoly([rng.choice((1, -1))
+                               * Fraction(top - rng.randint(0, 9),
+                                          rng.choice((1, 1, 3, 7, top)))
+                               for _ in range(rng.randint(1, 5))])
+                for mu in rng.sample(parts, rng.randint(1, len(parts)))})
+                for _ in range(2))
+            assert (inner_product(u, v).coeffs
+                    == _pairing_term_by_term(u, v).coeffs)
+            w = PSumVector(n, {mu: AlphaPoly([x.numerator for x in c.coeffs])
+                               for mu, c in u.terms.items()})
+            assert inner_product(w, w) == _pairing_term_by_term(w, w)
+
+
 def test_hand_checked_inner_products():
     j2 = jack_table(2).row(P([2]))
     j11 = jack_table(2).row(P([1, 1]))

@@ -79,6 +79,9 @@ def test_z_aut_class_examples():
     assert z_aut_class(Partition([1])) == (1, 1, 1)
     assert z_aut_class(Partition([3, 2, 2, 1])) == (24, 2, 1680)
     assert z_aut_class(Partition([2, 2])) == (8, 2, 3)
+    # a list or tuple, in any order, gives the values of its partition
+    assert z_aut_class([2, 3, 1, 2]) == z_aut_class((3, 2, 2, 1)) == (24, 2, 1680)
+    assert z_aut_class([]) == (1, 1, 1)
 
 
 def test_modify_examples():
