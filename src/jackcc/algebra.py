@@ -7,8 +7,7 @@ plain big-int arithmetic.  The ring has no general division.  The hot
 loops skip the polynomial objects and work on integer coefficient lists:
 _addmul accumulates a scaled, shifted list into another, _divide_linear
 is the exact quotient by a linear factor q*a + p, which the Jack solver
-and the Cauchy route share, and _divide_int the exact quotient by an
-integer.
+and _quotient share, and _divide_int the exact quotient by an integer.
 
 Sums of products of integer polynomials run packed (Kronecker
 substitution; Harvey, J. Symbolic Comput. 44, 2009): _pack evaluates each
@@ -21,12 +20,16 @@ sum |w| |f|_1 |g|_1, |f|_1 the sum of the absolute coefficients of f.
 
 RatFunc is the readout type of the connection coefficients: a quotient
 kept in lowest terms with a monic denominator, which makes equality a
-plain comparison.  It offers no field operations.  Each route knows the
-factors of its denominator, so every value is reduced where it is built:
-the constructor reduces a denominator c*a^d, and the Cauchy route cancels
-its known linear factors before it wraps the quotient.
+plain comparison.  It offers no field operations.  Every denominator the
+package divides by is a product of known linear factors, so one function,
+_quotient, reduces every value: it divides an integer numerator by
+scale * prod (q*a + p)^m, cancelling each factor by _divide_linear.  The
+constructor sends a denominator c*a^d there as the factor a to the power
+d, the tower route its n! a^(n - len), and the Cauchy route the hook
+factors of its common denominator.
 """
 
+import math
 from fractions import Fraction
 from numbers import Number
 
@@ -159,12 +162,15 @@ class AlphaPoly:
         return acc
 
     def shift(self, c):
-        """The composed polynomial p(a + c)."""
-        acc = AlphaPoly()
-        unit = AlphaPoly((c, 1))
-        for coef in reversed(self.coeffs):
-            acc = acc * unit + coef
-        return acc
+        """The composed polynomial p(a + c), by the Ruffini-Horner Taylor
+        shift: pass i divides the polynomial held in cs[i:] by a - c and
+        leaves the remainder, the i-th Taylor coefficient at c, in cs[i]."""
+        c = _coeff(c)
+        cs = list(self.coeffs)
+        for i in range(len(cs) - 1):
+            for j in range(len(cs) - 2, i - 1, -1):
+                cs[j] += c * cs[j + 1]
+        return _poly(cs)
 
     # ---- comparisons ----
 
@@ -334,9 +340,9 @@ ONE = AlphaPoly((1,))
 class RatFunc:
     """Reduced quotient of AlphaPolys.  den is monic and coprime to num.
 
-    The constructor reduces only a denominator c*a^d, whose gcd with num is
+    The constructor takes only a denominator c*a^d, whose gcd with num is
     a power of a; a value over any other denominator is built by the route
-    that knows its factors, through _ratfunc.
+    that knows its factors.  Both reduce through _quotient.
     """
 
     __slots__ = ("num", "den")
@@ -344,28 +350,21 @@ class RatFunc:
     def __init__(self, num, den=1):
         num = num if isinstance(num, AlphaPoly) else AlphaPoly(num)
         den = den if isinstance(den, AlphaPoly) else AlphaPoly(den)
+        if den.coeffs == (1,):
+            self.num, self.den = num, ONE
+            return
         if den.is_zero:
             raise DivisionByZero("zero denominator")
         if any(den.coeffs[:-1]):
             raise NonMonomialDenominator(
                 "denominator %s is not of the form c*a^d" % den.to_text())
-        if num.is_zero:
-            self.num, self.den = AlphaPoly(), ONE
-            return
-        # the gcd is a^k, k the smaller of d and the order of num at 0, so
-        # both drop their first k coefficients
-        k = 0
-        while k < den.degree and not num.coeffs[k]:
-            k += 1
-        if k:
-            num = AlphaPoly(num.coeffs[k:])
-            den = AlphaPoly(den.coeffs[k:])
-        lead = den.leading
-        if lead != 1:
-            inv = _coeff(Fraction(1, lead))
-            num = num * inv
-            den = den * inv
-        self.num, self.den = num, den
+        # num / (c a^d) is L c.den num / (L c.num a^d), L the lcm of the
+        # denominators of num's coefficients, an integer quotient
+        L = math.lcm(*[x.denominator for x in num.coeffs])
+        c = den.leading
+        r = _quotient([x.numerator * (L // x.denominator) * c.denominator
+                       for x in num.coeffs], {(0, 1): den.degree}, L * c.numerator)
+        self.num, self.den = r.num, r.den
 
     @staticmethod
     def _coerce(other):
@@ -440,6 +439,35 @@ def _ratfunc(num, den):
     r = object.__new__(RatFunc)
     r.num, r.den = num, den
     return r
+
+
+def _quotient(num, factors, scale):
+    """num / D in lowest terms with a monic denominator, with no gcd.
+
+    num is an integer coefficient list, which is consumed, and D is
+    scale * prod (q*a + p)^m over the items ((p, q), m) of factors, each
+    q*a + p primitive with q >= 1 and scale a nonzero integer.  Each factor
+    is divided out of num up to its multiplicity; the part of D left over
+    is coprime to the quotient, since distinct primitive linear factors
+    share no root.
+    """
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return _ratfunc(AlphaPoly(), ONE)
+    den = ONE
+    lead = scale
+    for (p, q), m in factors.items():
+        while m:
+            try:
+                num = _divide_linear(num, p, q)
+            except InexactDivision:
+                den = den * AlphaPoly((Fraction(p, q), 1)) ** m
+                lead *= q ** m
+                break
+            m -= 1
+    return _ratfunc(_poly([c // lead if c % lead == 0 else Fraction(c, lead)
+                           for c in num]), den)
 
 
 def _require_poly(p):

@@ -10,18 +10,15 @@ argument of the package and is what the verification suites exercise.
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .algebra import (
-    ALPHA, ONE, AlphaPoly, RatFunc, _divide_linear, _pack, _poly, _ratfunc,
-    _unpack, _width, substitute_beta,
+    ALPHA, AlphaPoly, RatFunc, _pack, _quotient, _unpack, _width,
+    substitute_beta,
 )
 from .config import check_degree
-from .errors import (
-    DegreeMismatch, EmptyPartition, InexactDivision, NegativeOrder,
-)
+from .errors import DegreeMismatch, EmptyPartition, NegativeOrder
 from .jack import jack_table
 from .partitions import (
     Partition, down_k, down_kl, generate_partitions, hook_factors, up_k,
@@ -53,77 +50,34 @@ def _as_partition(p):
     return p if isinstance(p, Partition) else Partition(p)
 
 
-def _linear_product(factors):
-    out = AlphaPoly(1)
-    for (p, q), m in sorted(factors.items()):
-        out = out * AlphaPoly((p, q)) ** m
-    return out
-
-
 @lru_cache(maxsize=None)
 def _cauchy_cofactors(n):
     """An integer common denominator D of the j_gamma over gamma of n, as
-    (factors, K), and every cofactor D/j_gamma, an integer polynomial.
+    (factors, K), every cofactor D/j_gamma, an integer polynomial, and T,
+    the largest |theta|_1, the sum of the absolute coefficients, over every
+    character of the degree-n Jack table.
 
-    Each monic factor a + p/q of j_gamma is taken as the primitive integer
-    factor q*a + p, so j_gamma is a rational c_gamma times these factors.
-    D is K times their lcm: the Counter factors maps each (p, q) to its
-    largest multiplicity, and K is the lcm of the numerators of the
-    c_gamma; so D/j_gamma is the integer K/c_gamma times the factors
-    j_gamma leaves over.
+    j_gamma is an integer c_gamma times primitive linear factors q*a + p
+    (hook_factors).  D is K times their lcm: the Counter factors maps each
+    (p, q) to its largest multiplicity, and K is the lcm of the c_gamma; so
+    D/j_gamma is the integer K/c_gamma times the factors j_gamma leaves
+    over.
     """
-    factored = {}
-    for gamma in generate_partitions(n):
-        const, shifts = hook_factors(gamma)
-        factors = Counter({(s.numerator, s.denominator): m
-                           for s, m in shifts.items()})
-        const = Fraction(const, math.prod(q ** m for (_, q), m in factors.items()))
-        factored[gamma] = (const, factors)
+    factored = {gamma: hook_factors(gamma) for gamma in generate_partitions(n)}
     common = Counter()
     scale = 1
     for const, factors in factored.values():
         common |= factors
-        scale = math.lcm(scale, const.numerator)
-    cofactors = {gamma: _linear_product(common - factors)
-                 * (scale * const.denominator // const.numerator)
-                 for gamma, (const, factors) in factored.items()}
-    return common, scale, cofactors
-
-
-def _over_factors(num, factors, scale):
-    """num / D in lowest terms with a monic denominator, with no gcd.
-
-    num is an integer coefficient list, which is consumed, and D is
-    scale * prod (q*a + p)^m over the items ((p, q), m) of factors.  Each
-    factor is divided out of num up to its multiplicity; the part of D left
-    over is coprime to the quotient, since distinct primitive linear
-    factors share no root.
-    """
-    while num and not num[-1]:
-        num.pop()
-    if not num:
-        return _ratfunc(AlphaPoly(), ONE)
-    den = ONE
-    lead = scale
-    for (p, q), m in factors.items():
-        while m:
-            try:
-                num = _divide_linear(num, p, q)
-            except InexactDivision:
-                den = den * AlphaPoly((Fraction(p, q), 1)) ** m
-                lead *= q ** m
-                break
-            m -= 1
-    return _ratfunc(_poly([c // lead if c % lead == 0 else Fraction(c, lead)
-                           for c in num]), den)
-
-
-@lru_cache(maxsize=None)
-def _theta_norm(table):
-    """The largest |theta|_1, the sum of the absolute coefficients, over
-    every character of one Jack table."""
-    return max(sum(map(abs, theta.coeffs))
-               for row in table.rows.values() for theta in row.terms.values())
+        scale = math.lcm(scale, const)
+    cofactors = {}
+    for gamma, (const, factors) in factored.items():
+        cofactor = AlphaPoly(scale // const)
+        for (p, q), m in (common - factors).items():
+            cofactor = cofactor * AlphaPoly((p, q)) ** m
+        cofactors[gamma] = cofactor
+    norm = max(sum(map(abs, theta.coeffs)) for row in jack_table(n).rows.values()
+               for theta in row.terms.values())
+    return common, scale, cofactors, norm
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +94,8 @@ def _cauchy_weights(others):
     n = others[0].n
     table = jack_table(n)
     weights = []
-    for gamma, cofactor in _cauchy_cofactors(n)[2].items():
+    _, _, cofactors, norm = _cauchy_cofactors(n)
+    for gamma, cofactor in cofactors.items():
         terms = table.rows[gamma].terms
         product = cofactor
         for other in others:
@@ -150,7 +105,7 @@ def _cauchy_weights(others):
             product = product * theta
         else:
             weights.append((terms, product.coeffs))
-    B = _width(_theta_norm(table) * sum(sum(map(abs, w)) for _, w in weights))
+    B = _width(norm * sum(sum(map(abs, w)) for _, w in weights))
     return B, tuple((terms, _pack(w, B)) for terms, w in weights)
 
 
@@ -168,10 +123,10 @@ def _cauchy_cached(lam1, others):
         theta = terms.get(lam1)
         if theta is not None:
             total += _pack(theta.coeffs, B) * weight
-    factors, scale, _ = _cauchy_cofactors(lam1.n)
+    factors, scale, _, _ = _cauchy_cofactors(lam1.n)
     z = z_aut_class(lam1)[0]
-    return _over_factors([0] * len(lam1) + [z * c for c in _unpack(total, B)],
-                         factors, scale)
+    return _quotient([0] * len(lam1) + [z * c for c in _unpack(total, B)],
+                     factors, scale)
 
 
 def a_cauchy(lam1, others):
@@ -323,8 +278,8 @@ def a_lr(lam, l, r=0):
     readout = _tower_with_D(l, r, n).coeff(lam)
     z = z_aut_class(lam)[0]
     # readout * z alpha^len / (n! alpha^n), with alpha^len cancelled first
-    den = AlphaPoly((0,) * (n - len(lam)) + (math.factorial(n),))
-    return RatFunc(readout * z, den)
+    return _quotient([z * c for c in readout.coeffs],
+                     {(0, 1): n - len(lam)}, math.factorial(n))
 
 
 def generator_properties(lam, l, r):

@@ -6,7 +6,6 @@ are used as dictionary keys everywhere else in the package.
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -183,24 +182,24 @@ def hooks(lam):
 
 @lru_cache(maxsize=None)
 def hook_factors(lam):
-    """j_lam as an integer c times monic linear factors: (c, shifts) with
-    j_lam = c * prod (a + s)^m over the items (s, m) of the Counter shifts.
+    """j_lam as a positive integer c times primitive integer linear factors:
+    (c, factors) with j_lam = c * prod (q*a + p)^m over the items
+    ((p, q), m) of the Counter factors, gcd(p, q) = 1 and q >= 1.
 
     Each box contributes (leg+1) + arm*a and leg + (arm+1)*a; c collects
-    their leading coefficients, and the constant (leg+1) when arm is 0.
+    their contents, the gcds of their two coefficients (all of leg+1 when
+    arm is 0).
     The cached Counter is shared by every caller: do not modify it.
     """
     const = 1
-    shifts = Counter()
+    factors = Counter()
     for box in Partition(lam).boxes():
-        if box.arm:
-            const *= box.arm
-            shifts[Fraction(box.leg + 1, box.arm)] += 1
-        else:
-            const *= box.leg + 1
-        const *= box.arm + 1
-        shifts[Fraction(box.leg, box.arm + 1)] += 1
-    return const, shifts
+        for p, q in ((box.leg + 1, box.arm), (box.leg, box.arm + 1)):
+            g = math.gcd(p, q)
+            const *= g
+            if q:
+                factors[p // g, q // g] += 1
+    return const, factors
 
 
 def eigenvalue(lam):

@@ -109,8 +109,12 @@ def test_shift_round_trip_to_degree_50():
     rng = random.Random(7)
     for _ in range(8):
         deg = rng.randrange(0, 51)
+        ints = AlphaPoly([rng.randrange(-9, 10) for _ in range(deg + 1)])
         p = AlphaPoly([Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(deg + 1)])
-        assert substitute_beta(p).shift(-1) == p
+        c = Fraction(rng.randrange(-9, 10), rng.randrange(2, 7))
+        for poly in (ints, p):
+            assert substitute_beta(poly).shift(-1) == poly
+            assert poly.shift(c).shift(-c) == poly
 
 
 def test_substitute_beta_examples():

@@ -582,16 +582,22 @@ def test_every_public_name_resolves():
     assert missing == []
 
 
-def test_every_public_name_has_a_caller():
-    # a public name must be run by the package, exported by jackcc, be the
-    # console entry point or be a named test oracle; code that only its own
-    # unit test calls does not belong in the package
+def _package_trees():
+    """The parsed source of every module of the package, by module name."""
     src = os.path.dirname(os.path.abspath(jackcc.__file__))
     trees = {}
     for path in sorted(glob.glob(os.path.join(src, "*.py"))):
         with open(path, encoding="utf-8") as handle:
             name = os.path.basename(path)[:-3]
             trees[name] = ast.parse(handle.read(), filename=path)
+    return trees
+
+
+def test_every_public_name_has_a_caller():
+    # a public name must be run by the package, exported by jackcc, be the
+    # console entry point or be a named test oracle; code that only its own
+    # unit test calls does not belong in the package
+    trees = _package_trees()
     imported = {("%s.%s" % (node.module, alias.name))
                 for module, tree in trees.items()
                 for node in ast.walk(tree)
@@ -607,6 +613,18 @@ def test_every_public_name_has_a_caller():
                     and not _loads_outside_own_definition(trees[module], name)):
                 unused.append("%s.%s" % (module, name))
     assert unused == []
+
+
+def test_only_algebra_wraps_a_ratfunc_unchecked():
+    # _ratfunc takes num and den as already reduced, so every use stays in
+    # algebra, behind _quotient and the scalar product, which keep
+    # RatFunc's canonical form
+    users = {module for module, tree in _package_trees().items()
+             for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id == "_ratfunc")
+             or (isinstance(node, ast.Attribute) and node.attr == "_ratfunc")
+             or (isinstance(node, ast.alias) and node.name == "_ratfunc")}
+    assert users == {"algebra"}
 
 
 def test_nonpositive_part_in_optimized_mode():

@@ -170,7 +170,7 @@ def test_three_routes_agree_at_degree_10(monkeypatch):
 
 def test_cauchy_cofactors_are_integer_polynomials():
     for n in range(0, 9):
-        factors, scale, cofactors = jackcc.connection._cauchy_cofactors(n)
+        factors, scale, cofactors, _ = jackcc.connection._cauchy_cofactors(n)
         assert all(q >= 1 and math.gcd(p, q) == 1 for p, q in factors), n
         common = AlphaPoly(scale)
         for (p, q), m in factors.items():
@@ -369,7 +369,6 @@ def cold_cauchy():
     """Empty the Cauchy caches before and after, so that no value computed
     under a patch outlives the test."""
     caches = (jackcc.connection._cauchy_cofactors,
-              jackcc.connection._theta_norm,
               jackcc.connection._cauchy_weights,
               jackcc.connection._cauchy_cached)
     for cache in caches:
@@ -417,23 +416,30 @@ def test_cauchy_runs_no_euclid(cold_cauchy):
 
 def test_jack_tables_and_towers_build_no_rational_functions(monkeypatch):
     """Characters and tower stages are polynomials end to end: a cold
-    jack_table makes no RatFunc, and a_lr makes one, for its readout,
-    even when it grows the tower."""
+    jack_table reduces no quotient, and a_lr reduces one, its readout,
+    through the shared quotient, even when it grows the tower."""
     jackcc.jack._build_table.cache_clear()
     jackcc.psum._transition.cache_clear()
     jackcc.connection._tower.cache_clear()
     jackcc.connection._tower_with_D.cache_clear()
-    made = []
+    made, reduced = [], []
     init = RatFunc.__init__
+    quotient = jackcc.connection._quotient
 
-    def counting(self, *args):
+    def counting_init(self, *args):
         made.append(args)
         init(self, *args)
 
-    monkeypatch.setattr(RatFunc, "__init__", counting)
+    def counting_quotient(*args):
+        reduced.append(args)
+        return quotient(*args)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    monkeypatch.setattr(jackcc.connection, "_quotient", counting_quotient)
     jack_table(6)
-    assert not made
+    assert not made and not reduced
     for lam in generate_partitions(6):
-        made.clear()
+        reduced.clear()
         a_lr(lam, 2, 0)
-        assert len(made) == 1, lam
+        assert len(reduced) == 1, lam
+    assert not made

@@ -150,16 +150,19 @@ def test_hook_degrees_and_specialization():
 
 
 def test_hook_factors_multiply_to_j():
-    # j_(2) = 2 a^2 (a + 1); j_(2,1) = 2 a^2 (a + 2) (a + 1/2)
-    assert hook_factors(Partition([2])) == (2, {0: 2, 1: 1})
+    # j_(2) = 2 a^2 (a + 1); j_(2,1) = a^2 (a + 2) (2a + 1)
+    assert hook_factors(Partition([2])) == (2, {(0, 1): 2, (1, 1): 1})
     assert hook_factors(Partition([2, 1])) == (
-        2, {0: 2, Fraction(2): 1, Fraction(1, 2): 1})
+        1, {(0, 1): 2, (2, 1): 1, (1, 2): 1})
     for n in range(0, 8):
         for lam in generate_partitions(n):
-            const, shifts = hook_factors(lam)
+            const, factors = hook_factors(lam)
+            assert type(const) is int and const > 0, lam
             product = AlphaPoly(const)
-            for s, m in shifts.items():
-                product = product * AlphaPoly((s, 1)) ** m
+            for (p, q), m in factors.items():
+                assert type(p) is int and type(q) is int, lam
+                assert q >= 1 and math.gcd(p, q) == 1, lam
+                product = product * AlphaPoly((p, q)) ** m
             assert product == hooks(lam)[2], lam
 
 

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import jackcc.algebra
 from algebra_oracle import poly_gcd, reduced
-from jackcc.algebra import ONE, AlphaPoly, RatFunc, _divide_linear
-from jackcc.connection import _cauchy_cofactors, _over_factors
+from jackcc.algebra import ONE, AlphaPoly, RatFunc, _divide_linear, _quotient
+from jackcc.connection import _cauchy_cofactors
 from jackcc.errors import InexactDivision, NonMonomialDenominator
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -291,7 +291,7 @@ def test_known_factors_match_the_gcd_reduction(data):
     """An integer polynomial times a sub-multiset of the Cauchy denominator's
     factors, over that denominator, reduced without Euclid."""
     n = data.draw(st.integers(min_value=1, max_value=6))
-    factors, scale, _ = _cauchy_cofactors(n)
+    factors, scale, _, _ = _cauchy_cofactors(n)
     num = AlphaPoly(data.draw(st.lists(st.integers(min_value=-30, max_value=30),
                                        max_size=6)))
     den = AlphaPoly(scale)
@@ -301,6 +301,6 @@ def test_known_factors_match_the_gcd_reduction(data):
         den = den * factor ** m
     want_num, want_den = reduced(num, den)
     _assert_no_euclid()
-    r = _over_factors(list(num.coeffs), factors, scale)
+    r = _quotient(list(num.coeffs), factors, scale)
     assert _stored(r.num) == want_num.coeffs
     assert _stored(r.den) == want_den.coeffs
