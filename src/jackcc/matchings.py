@@ -18,7 +18,7 @@ tuples) are built only when the matchings themselves are listed.
 
 from collections import Counter
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, groupby
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -162,40 +162,40 @@ def build_canonical(lam):
     return LambdaGraph(lam, gray, black)
 
 
-def _search(partner, gend, bend, a, free, mixed, out, bits):
+def _search(partner, gend, bend, free, mixed, out, bits):
     """Pair the smallest free vertex a with each allowed partner in turn.
 
+    free lists the unmatched vertices in increasing order, at least 4;
     gend and bend map each path end to the other end of its gray and black
-    path; free counts the unmatched vertices, at least 4; mixed is 1 while
-    every edge chosen so far joins an unhatted vertex to a hatted one.
-    With four free, the two left after a's pair close the last path, so
-    they pair without recursing and the leaf is recorded in place; that
-    pair mixes parities whenever every other edge does.
+    path; mixed is 1 while every edge chosen so far joins an unhatted
+    vertex to a hatted one.  Each leaf writes every vertex's partner on
+    its way down, so no entry of partner is reset.  With four free, the
+    two left after a's pair close the last path, so they pair without
+    recursing and the leaf is recorded in place; that pair mixes parities
+    whenever every other edge does.
     """
+    a = free[0]
     ga, ba = gend[a], bend[a]
-    if free == 4:
-        b, c, d = [w for w in range(a + 1, len(partner)) if not partner[w]]
+    if len(free) == 4:
+        _, b, c, d = free
         for v, x, y in ((b, c, d), (c, b, d), (d, b, c)):
             if v != ga and v != ba:
                 partner[a], partner[v], partner[x], partner[y] = v, a, y, x
                 out.append(bytes(partner))
                 bits.append(mixed & (a ^ v))
-        partner[a] = partner[b] = partner[c] = partner[d] = 0
         return
-    for v in range(a + 1, len(partner)):
-        if partner[v] or v == ga or v == ba:
+    for i in range(1, len(free)):
+        v = free[i]
+        if v == ga or v == ba:
             continue
         partner[a], partner[v] = v, a
         gv, bv = gend[v], bend[v]
         gend[ga], gend[gv] = gv, ga
         bend[ba], bend[bv] = bv, ba
-        b = a + 1
-        while partner[b]:
-            b += 1
-        _search(partner, gend, bend, b, free - 2, mixed & (a ^ v), out, bits)
+        _search(partner, gend, bend, free[1:i] + free[i + 1:],
+                mixed & (a ^ v), out, bits)
         gend[ga], gend[gv] = a, v
         bend[ba], bend[bv] = a, v
-        partner[a] = partner[v] = 0
 
 
 @lru_cache(maxsize=None)
@@ -216,8 +216,9 @@ def _store(lam):
     if lam.n < 2:
         return (bytes(graph.gray.partner),), b"\1"
     out, bits = [], []
-    _search([0] * (2 * lam.n + 1), list(graph.gray.partner),
-            list(graph.black.partner), 1, 2 * lam.n, 1, out, bits)
+    _search(bytearray(2 * lam.n + 1), list(graph.gray.partner),
+            list(graph.black.partner), list(range(1, 2 * lam.n + 1)), 1,
+            out, bits)
     return tuple(out), bytes(bits)
 
 
@@ -312,9 +313,12 @@ def _weight_table(lam):
     Deleting vertex 1 and its partner v lands on a good matching of the
     reduced partition, so the weight is [v unhatted] plus that matching's
     entry in the reduced table; the single good matching of (1) weighs 0.
-    The surgery depends only on v, so it runs once per first partner: the
-    getter reads a row's slot 0 and then its partners in the new-label
-    order, and the translate table sends each old label to its new one.
+    The rows are in lexicographic order and row[0] is 0, so the rows with
+    first partner v form one block, and the surgery runs once per block.
+    The block's rows are joined into one byte string, one translate sends
+    every old label to its new one, and each column of the reduced rows is
+    copied from its old column by one extended slice, in the new-label
+    order, giving each row's reduced row in place.
     """
     if not lam:
         raise EmptyPartition("the weight statistic needs at least one box")
@@ -322,22 +326,29 @@ def _weight_table(lam):
     if lam.n == 1:
         return {rows[0]: 0}
     graph = build_canonical(lam)
-    steps = {}
+    width = 2 * lam.n + 1
+    width2 = width - 2
     table = {}
-    for row in rows:
-        step = steps.get(row[1])
-        if step is None:
-            lam2, mapping, _ = _reduce_graph(graph, 1, row[1])
-            relabel = bytes.maketrans(bytes(mapping), bytes(mapping.values()))
-            step = steps[row[1]] = (row[1] % 2, _weight_table(lam2),
-                                    itemgetter(0, *mapping), relabel)
-        hit, sub, getter, relabel = step
+    for v, block in groupby(rows, itemgetter(1)):
+        block = tuple(block)
+        lam2, mapping, _ = _reduce_graph(graph, 1, v)
+        sub = _weight_table(lam2)
+        seg = b"".join(block).translate(
+            bytes.maketrans(bytes(mapping), bytes(mapping.values())))
+        red = bytearray(len(block) * width2)
+        for new, old in enumerate(mapping, 1):
+            red[new::width2] = seg[old::width]
+        del seg  # at most two copies of the block are alive at once
+        red = bytes(red)
+        hit = v % 2
         try:
-            table[row] = hit + sub[bytes(getter(row)).translate(relabel)]
+            table.update(zip(block, [
+                hit + sub[red[k:k + width2]]
+                for k in range(0, len(red), width2)]))
         except KeyError:
             raise BrokenInvariant(
                 "%s: a matching with first partner %s reduces to no good"
-                " matching" % (lam.to_text(), _label_text(row[1]))) from None
+                " matching" % (lam.to_text(), _label_text(v))) from None
     return table
 
 
@@ -345,6 +356,8 @@ def weight(lam, delta):
     """Count the unhatted partners met while deleting vertex 1 down to (1)."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     check_degree(lam.n)
+    if not lam:
+        raise EmptyPartition("the weight statistic needs at least one box")
     graph = build_canonical(lam)
     single = Partition([lam.n])
     if (union_cycle_type(graph.gray, delta) != single

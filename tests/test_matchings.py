@@ -10,8 +10,8 @@ from jackcc.algebra import AlphaPoly, substitute_beta
 from jackcc.connection import a_nn_recurrence
 from jackcc import matchings
 from jackcc.errors import (
-    AdjacentPair, BadMatching, BrokenInvariant, DegreeMismatch, MissingPart,
-    NotGoodMatching, UnmatchedPair,
+    AdjacentPair, BadMatching, BrokenInvariant, DegreeMismatch,
+    EmptyPartition, MissingPart, NotGoodMatching, UnmatchedPair,
 )
 from jackcc.matchings import (
     Matching, bipartite_count, build_canonical, counting_recurrence_check,
@@ -169,6 +169,21 @@ def test_degree_seven_stores_are_pinned():
         digest.update(mixed)
         got[lam.to_text()] = digest.hexdigest()
     assert got == STORE_SHA256
+
+
+@pytest.mark.parametrize("parts", [(4, 3), (3, 2, 2)])
+def test_search_restores_its_state(parts):
+    lam = P(list(parts))
+    graph = build_canonical(lam)
+    gray, black = list(graph.gray.partner), list(graph.black.partner)
+    free = list(range(1, 2 * lam.n + 1))
+    out, bits = [], []
+    matchings._search(bytearray(2 * lam.n + 1), gray, black, free, 1,
+                      out, bits)
+    assert gray == list(graph.gray.partner)
+    assert black == list(graph.black.partner)
+    assert free == list(range(1, 2 * lam.n + 1))
+    assert (tuple(out), bytes(bits)) == _store(lam)
 
 
 def test_store_refuses_labels_beyond_a_byte():
@@ -338,6 +353,50 @@ def test_table_weight_matches_deletion_oracle():
                 assert weight(lam, m) == want, (lam, m)
 
 
+# sha256 over a store's rows, each followed by its weight as one byte, in
+# store order; recorded when each row was still relabelled on its own, before
+# the table relabelled the rows one first-partner block at a time.
+WEIGHT_TABLE_SHA256 = {
+    "7": "5b889c8d33a01529a37e505bf95a5fc6eeb9b603b048da8b2b947b197330c3ae",
+    "6,1": "56f749fed44b8702f0dd21c5f438ec214bc0eecafa7f19ff968c5bd248e31491",
+    "5,2": "fdb416b7d0f90a9e4a06430399340fbd40aca6abcb6055b3a5e05ec5d2e4669d",
+    "5,1,1": "d99d45a6d1f96fd0dd314bc950bd698ccbb5d8f8468750263922d4fa2d90d0d4",
+    "4,3": "2b894ff8c17971fd46fd2a85aae65ddd541b275ed33cc625860148e29ba73d27",
+    "4,2,1": "cfb773df92577ad03ed619d6de88ade272ad59d45bb33999d932efd61f4ca8b4",
+    "4,1,1,1": "009ffd6edb3353b5ce0e226cc5bcca05d6d97fe999b3e215aae451979e4813bf",
+    "3,3,1": "dec2beb06c4d53bf2aa48aab08c962cc26ca1621ce0d51306da0d8efde89d972",
+    "3,2,2": "06b41e70326d90d93ff0a6b23e441a66237cec46d8660376fa42cf761b3e0046",
+    "3,2,1,1": "1d4205dab83ea4aab0153bcc2a0ce8d8faaf7ae860cdca6719214f09be9a2c43",
+    "3,1,1,1,1": "38c4ded7e652f0b62678b5a5aaf8718dff9435ff015f53171d7eb7afe87c4696",
+    "2,2,2,1": "8b891518268a2866545190611b6b4c74ac1d224e463149507b07ab79b052d3a5",
+    "2,2,1,1,1": "74a3c5a607210882ed8698282e74e0bb85e9c078981c300669f339d43c04edbd",
+    "2,1,1,1,1,1": "d345d96da6aa96e8eb9e2c78350b443dfeaf453dde3edcc53836ae5bbe5a428b",
+    "1,1,1,1,1,1,1":
+        "48775fc12d834d04f3d67b8b8fe99abf8e0d5bbc657dc29d5033e0bc29bfeb1d",
+}
+
+
+def test_degree_seven_weight_tables_are_pinned():
+    got = {}
+    for lam in generate_partitions(7):
+        table = _weight_table(lam)
+        digest = hashlib.sha256()
+        for row in _store(lam)[0]:
+            digest.update(row)
+            digest.update(bytes([table[row]]))
+        got[lam.to_text()] = digest.hexdigest()
+    assert got == WEIGHT_TABLE_SHA256
+
+
+def test_weight_refuses_the_empty_partition():
+    with pytest.raises(EmptyPartition):
+        weight((), Matching([], 0))
+    with pytest.raises(EmptyPartition):
+        weight_distribution(())
+    with pytest.raises(EmptyPartition):
+        enumerate_good(())
+
+
 def test_weight_distributions():
     assert weight_distribution(P([1])) == AlphaPoly(1)
     assert weight_distribution(P([2])) == AlphaPoly((0, 1))
@@ -380,6 +439,29 @@ def test_missing_reduced_row_is_a_broken_invariant(monkeypatch):
     monkeypatch.setattr(matchings, "_weight_table", lambda lam: {})
     with pytest.raises(BrokenInvariant, match="^3: .* first partner 2 "):
         build(P([3]))
+
+
+def test_missing_row_inside_a_block_is_a_broken_invariant(monkeypatch):
+    # The block of (3) with first partner 2^ has two rows and is the only
+    # one that reduces to (1,1).  Its (1,1) table lacks the second row's
+    # reduction alone, so the block's first row finds its entry.
+    lam = P([3])
+    block = [m for m in good_matchings(lam) if m.of(1) == 4]
+    assert len(block) == 2
+    reduced, delta2, _ = reduce(build_canonical(lam), block[1], 1, 4)
+    assert reduced.lam == P([1, 1])
+    missing = bytes(delta2.partner)
+
+    def tables(lam2):
+        table = dict(_weight_table(lam2))
+        if lam2 == reduced.lam:
+            del table[missing]
+        return table
+
+    build = matchings._weight_table.__wrapped__
+    monkeypatch.setattr(matchings, "_weight_table", tables)
+    with pytest.raises(BrokenInvariant, match=r"^3: .* first partner 2\^ "):
+        build(lam)
 
 
 def test_counting_recurrences():
