@@ -23,14 +23,17 @@ kept in lowest terms with a monic denominator, which makes equality a
 plain comparison.  It offers no field operations.  Every denominator the
 package divides by is a product of known linear factors, so one function,
 _quotient, reduces every value: it divides an integer numerator by
-scale * prod (q*a + p)^m, cancelling each factor by _divide_linear.  The
-constructor sends a denominator c*a^d there as the factor a to the power
-d, the tower route its n! a^(n - len), and the Cauchy route the hook
-factors of its common denominator.
+scale * prod (q*a + p)^m, cancelling a by slicing and the product of the
+other factors by one checked packed division (by _divide_linear one
+factor at a time where that product does not divide).  The constructor
+sends a denominator c*a^d there as the factor a to the power d, the tower
+route its n! a^(n - len), and the Cauchy route the hook factors of its
+common denominator.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Number
 
 from .errors import (
@@ -441,31 +444,83 @@ def _ratfunc(num, den):
     return r
 
 
+def _divide_packed(num, lin, B):
+    """The integer quotient Q of the list num by lin, read from one divmod
+    at a = 2^B, or None if lin does not divide num or B is too narrow.
+
+    Q*lin - num has coefficients at most |Q|_1 |lin|_1 + |num|_inf, so,
+    with B2 the _width of that bound, it is 0 if it vanishes at 2^X for
+    any X >= B2.  The divmod shows that it vanishes at 2^B; when B < B2,
+    the packed product is compared at 2^B2 as well.
+    """
+    packed = _pack(lin, B)
+    if not packed:
+        return None
+    quo, rem = divmod(_pack(num, B), packed)
+    if rem:
+        return None
+    quo = _unpack(quo, B)
+    B2 = _width(sum(map(abs, quo)) * sum(map(abs, lin)) + max(map(abs, num)))
+    if B2 > B and _pack(quo, B2) * _pack(lin, B2) != _pack(num, B2):
+        return None
+    return quo
+
+
+@lru_cache(maxsize=None)
+def _linear_product(factors):
+    """The coefficients of prod (q*a + p)^m over the pairs ((p, q), m)."""
+    out = [1]
+    for (p, q), m in factors:
+        for _ in range(m):
+            grown = []
+            _addmul(grown, out, p)
+            _addmul(grown, out, q, 1)
+            out = grown
+    return tuple(out)
+
+
 def _quotient(num, factors, scale):
     """num / D in lowest terms with a monic denominator, with no gcd.
 
     num is an integer coefficient list, which is consumed, and D is
     scale * prod (q*a + p)^m over the items ((p, q), m) of factors, each
-    q*a + p primitive with q >= 1 and scale a nonzero integer.  Each factor
-    is divided out of num up to its multiplicity; the part of D left over
-    is coprime to the quotient, since distinct primitive linear factors
-    share no root.
+    q*a + p primitive with q >= 1 and scale a nonzero integer.  The factor
+    a goes with num's zero low coefficients.  The product L of the others
+    goes by _divide_packed at the width of Mignotte's bound 2^deg |num|_1
+    on the factors of num, which finds the quotient whenever L divides
+    num; otherwise each factor is divided out by _divide_linear up to its
+    multiplicity.  The part of D left over is coprime to the quotient,
+    since distinct primitive linear factors share no root.
     """
     while num and not num[-1]:
         num.pop()
     if not num:
         return _ratfunc(AlphaPoly(), ONE)
-    den = ONE
+    m = factors.get((0, 1), 0)
+    low = 0
+    while low < m and not num[low]:
+        low += 1
+    num = num[low:]
+    den = _poly([0] * (m - low) + [1])
     lead = scale
-    for (p, q), m in factors.items():
-        while m:
-            try:
-                num = _divide_linear(num, p, q)
-            except InexactDivision:
-                den = den * AlphaPoly((Fraction(p, q), 1)) ** m
-                lead *= q ** m
-                break
-            m -= 1
+    rest = tuple(item for item in factors.items() if item[0] != (0, 1) and item[1])
+    if rest:
+        lin = _linear_product(rest)
+        extra = len(num) - len(lin)
+        quo = extra >= 0 and _divide_packed(
+            num, lin, _width(sum(map(abs, num)) << extra))
+        if quo:
+            num = quo
+        else:
+            for (p, q), m in rest:
+                while m:
+                    try:
+                        num = _divide_linear(num, p, q)
+                    except InexactDivision:
+                        den = den * AlphaPoly((Fraction(p, q), 1)) ** m
+                        lead *= q ** m
+                        break
+                    m -= 1
     return _ratfunc(_poly([c // lead if c % lead == 0 else Fraction(c, lead)
                            for c in num]), den)
 

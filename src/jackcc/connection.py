@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .algebra import (
-    ALPHA, AlphaPoly, RatFunc, _pack, _quotient, _unpack, _width,
+    ALPHA, AlphaPoly, RatFunc, _addmul, _pack, _quotient, _unpack, _width,
     substitute_beta,
 )
 from .config import check_degree
@@ -84,7 +84,9 @@ def _cauchy_cofactors(n):
 def _cauchy_weights(others):
     """A packing width B and, per gamma of n, its theta terms and the
     integer polynomial D/j_gamma * prod theta_gamma(other) packed at 2^B; a
-    gamma whose product is zero is left out.
+    gamma whose product is zero is left out.  Each product is formed on
+    integer coefficient lists by _addmul, one shifted row per coefficient
+    of theta.
 
     No coefficient of sum_gamma theta_gamma(lam1) w_gamma exceeds
     T * sum |w_gamma|_1, T the table's largest |theta|_1, whatever lam1 is,
@@ -97,14 +99,17 @@ def _cauchy_weights(others):
     _, _, cofactors, norm = _cauchy_cofactors(n)
     for gamma, cofactor in cofactors.items():
         terms = table.rows[gamma].terms
-        product = cofactor
+        product = cofactor.coeffs
         for other in others:
             theta = terms.get(other)
             if theta is None:
                 break
-            product = product * theta
+            grown = []
+            for k, c in enumerate(theta.coeffs):
+                _addmul(grown, product, c, k)
+            product = grown
         else:
-            weights.append((terms, product.coeffs))
+            weights.append((terms, product))
     B = _width(norm * sum(sum(map(abs, w)) for _, w in weights))
     return B, tuple((terms, _pack(w, B)) for terms, w in weights)
 
@@ -115,7 +120,8 @@ def _cauchy_cached(lam1, others):
 
     The characters and the weights are integer polynomials, so the sum is
     one big integer at alpha = 2^B, unpacked once; z * a^len(lam1) times it
-    is then divided by D's known linear factors, with no gcd.
+    is then divided by D's known linear factors, with no gcd: _quotient
+    divides by their product at once, packed and checked.
     """
     B, weights = _cauchy_weights(others)
     total = 0

@@ -6,13 +6,13 @@ polynomial in alpha, and a coefficient with a denominator raises
 NotPolynomial.  The differential operators rewrite partition keys directly:
 d/dp_i applied to a monomial with m_i parts of size i contributes the
 factor m_i and removes one part, so every operator below reduces to
-integer multiplicity bookkeeping on the key.
+integer multiplicity bookkeeping on the key, done for D once per key.
 """
 
 from functools import lru_cache
 from math import comb
 
-from .algebra import ALPHA, AlphaPoly, RatFunc, _require_poly
+from .algebra import AlphaPoly, RatFunc, _addmul, _poly, _require_poly
 from .config import check_degree
 from .errors import DegreeMismatch, NegativeOrder
 from .partitions import Partition, generate_partitions
@@ -118,36 +118,48 @@ def _replace(counter, removals, additions):
     return Partition(out)
 
 
+@lru_cache(maxsize=None)
+def _D_row(mu):
+    """D p_mu as triples (nu, A, B) with D p_mu = sum (A*alpha + B) p_nu."""
+    mult = mu.multiplicities()
+    row = []
+    diagonal = sum(i * (i - 1) * m for i, m in mult.items()) // 2
+    if diagonal:
+        row.append((mu, diagonal, -diagonal))
+    sizes = sorted(mult)
+    for a, i in enumerate(sizes):
+        for j in sizes[a:]:
+            if i == j:
+                factor = i * i * (mult[i] * (mult[i] - 1) // 2)
+            else:
+                factor = i * j * mult[i] * mult[j]
+            if factor:
+                row.append((_replace(mu, (i, j), (i + j,)), factor, 0))
+    for k, m in mult.items():
+        for i in range(1, k // 2 + 1):
+            factor = (k // 2 if 2 * i == k else k) * m
+            row.append((_replace(mu, (k,), (i, k - i)), 0, factor))
+    return tuple(row)
+
+
 def apply_D(v):
     """The Laplace-Beltrami operator D = (alpha-1)N + alpha U + S, in one pass.
 
     N = 1/2 sum_i i(i-1) p_i d/dp_i keeps p_mu; U = 1/2 sum_{i,j} ij
     p_{i+j} d/dp_i d/dp_j merges two parts of mu; S = 1/2 sum_{i,j} (i+j)
-    p_i p_j d/dp_{i+j} splits one part of mu in two.
+    p_i p_j d/dp_{i+j} splits one part of mu in two.  Each p_mu's row,
+    cached per mu, is added into coefficient lists, one polynomial per nu.
     """
     out = {}
     for mu, c in v.terms.items():
-        mult = mu.multiplicities()
-        c_alpha = c * ALPHA
-        diagonal = sum(i * (i - 1) * m for i, m in mult.items()) // 2
-        if diagonal:
-            out[mu] = out.get(mu, _ZERO) + (c_alpha - c) * diagonal
-        sizes = sorted(mult)
-        for a, i in enumerate(sizes):
-            for j in sizes[a:]:
-                if i == j:
-                    factor = i * i * (mult[i] * (mult[i] - 1) // 2)
-                else:
-                    factor = i * j * mult[i] * mult[j]
-                if factor:
-                    nu = _replace(mu, (i, j), (i + j,))
-                    out[nu] = out.get(nu, _ZERO) + c_alpha * factor
-        for k, m in mult.items():
-            for i in range(1, k // 2 + 1):
-                nu = _replace(mu, (k,), (i, k - i))
-                factor = (k // 2 if 2 * i == k else k) * m
-                out[nu] = out.get(nu, _ZERO) + c * factor
-    return PSumVector(v.degree, out)
+        cs = c.coeffs
+        for nu, A, B in _D_row(mu):
+            acc = out.setdefault(nu, [])
+            if A:
+                _addmul(acc, cs, A, 1)
+            if B:
+                _addmul(acc, cs, B)
+    return PSumVector(v.degree, {nu: _poly(cs) for nu, cs in out.items()})
 
 
 def multiply_p1(v):

@@ -168,6 +168,22 @@ def test_three_routes_agree_at_degree_10(monkeypatch):
         assert a_lr(lam, 2, 0) == want, lam
 
 
+def test_cauchy_route_matches_the_tower_with_near_cycles():
+    """a_lr(lam, l, r) reads the coefficient on l full cycles (n) and r
+    near-cycles (2, 1^(n-2)); the Cauchy sum over those indices is the
+    same value, reduced through the packed quotient instead of the tower's
+    per-partition D rows."""
+    for n in range(2, 8):
+        full, near = P([n]), P([2] + [1] * (n - 2))
+        for lam in generate_partitions(n):
+            for l in range(5):
+                for r in range(3):
+                    if l + r >= 2:
+                        want = a_lr(lam, l, r)
+                        got = a_cauchy(lam, [full] * l + [near] * r)
+                        assert got == want, (lam, l, r)
+
+
 def test_cauchy_cofactors_are_integer_polynomials():
     for n in range(0, 9):
         factors, scale, cofactors, _ = jackcc.connection._cauchy_cofactors(n)

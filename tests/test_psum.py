@@ -1,11 +1,13 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from jackcc.algebra import ALPHA, RatFunc
+import psum_oracle
+from jackcc.algebra import ALPHA, AlphaPoly, RatFunc
 from jackcc.errors import DegreeMismatch, NotPolynomial
 from jackcc.partitions import Partition, generate_partitions
 from jackcc.psum import (
@@ -69,6 +71,41 @@ def test_D_is_pinned():
             digest.update(line.encode())
     assert digest.hexdigest() == (
         "21a4c291a0f8740c3c951d2cb92d3797294a75b62f9d693e6a4057029d44d2f1")
+
+
+def test_D_matches_the_per_term_oracle_on_every_basis_vector():
+    for n in range(1, 9):
+        for mu in generate_partitions(n):
+            v = psum_unit(mu)
+            assert apply_D(v) == psum_oracle.apply_D(v), mu
+
+
+def _random_vector(rng, n, coefficient):
+    parts = generate_partitions(n)
+    return PSumVector(n, {mu: AlphaPoly([coefficient() for _ in range(rng.randint(1, 4))])
+                          for mu in rng.sample(parts, rng.randint(1, len(parts)))})
+
+
+def test_D_matches_the_per_term_oracle_on_random_vectors():
+    """Sums of terms, with int and with Fraction coefficients."""
+    rng = random.Random(20)
+    draws = {"int": lambda: rng.randint(-9, 9),
+             "Fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))}
+    for kind, coefficient in draws.items():
+        for _ in range(60):
+            v = _random_vector(rng, rng.randint(1, 8), coefficient)
+            got = apply_D(v)
+            assert got == psum_oracle.apply_D(v), (kind, v)
+            assert all(type(c) is int or c.denominator != 1
+                       for p in got.terms.values() for c in p.coeffs), (kind, v)
+
+
+def test_D_is_not_bounded_by_the_degree_bound():
+    # the rows are cached per partition, not per degree, so apply_D reads
+    # no degree bound
+    for mu in (P([12]), P([5, 4, 3]), P([1] * 11)):
+        v = psum_unit(mu)
+        assert apply_D(v) == psum_oracle.apply_D(v), mu
 
 
 def test_degree_shifting_operators():

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 import jackcc.algebra
 from algebra_oracle import poly_gcd, reduced
-from jackcc.algebra import ONE, AlphaPoly, RatFunc, _divide_linear, _quotient
+from jackcc.algebra import (
+    ONE, AlphaPoly, RatFunc, _divide_linear, _divide_packed, _pack, _quotient,
+)
 from jackcc.connection import _cauchy_cofactors
 from jackcc.errors import InexactDivision, NonMonomialDenominator
 
@@ -304,3 +306,48 @@ def test_known_factors_match_the_gcd_reduction(data):
     r = _quotient(list(num.coeffs), factors, scale)
     assert _stored(r.num) == want_num.coeffs
     assert _stored(r.den) == want_den.coeffs
+
+
+@st.composite
+def _over_the_linear_part(draw):
+    """(num, factors, scale): num an integer polynomial Q times the whole
+    degree-n Cauchy denominator, n <= 7, or times it with one factor
+    dropped, so that D's linear part divides num or misses by one factor."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    factors, scale, _, _ = _cauchy_cofactors(n)
+    num = AlphaPoly(draw(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                                  min_size=1, max_size=8)))
+    items = sorted(factors.items())
+    dropped = draw(st.one_of(st.none(), st.sampled_from([pq for pq, _ in items])))
+    for (p, q), m in items:
+        num = num * AlphaPoly((p, q)) ** (m - ((p, q) == dropped))
+    return num, factors, scale
+
+
+@given(_over_the_linear_part())
+def test_packed_division_by_the_linear_part_matches_the_gcd_reduction(case):
+    num, factors, scale = case
+    den = AlphaPoly(scale)
+    for (p, q), m in factors.items():
+        den = den * AlphaPoly((p, q)) ** m
+    want_num, want_den = reduced(num, den)
+    r = _quotient(list(num.coeffs), factors, scale)
+    assert _stored(r.num) == want_num.coeffs
+    assert _stored(r.den) == want_den.coeffs
+
+
+def test_packed_division_declines_a_zero_remainder_it_cannot_prove():
+    """At a = 4, 5a is 20 = 4 * 5 and a + 1 is 5: the divmod leaves no
+    remainder and reads the quotient a, but a * (a + 1) is not 5a.  The
+    check at the width of |Q|_1 |L|_1 + |num|_inf tells them apart."""
+    num, lin = [0, 5], (1, 1)
+    assert _pack(num, 2) % _pack(lin, 2) == 0
+    assert _divide_packed(num, lin, 2) is None
+    # 2a - 7 is 9 at a = 8, and |Q|_1 |L|_1 = 2 fits 3 bits, but 2a - 7
+    # is not a + 1: num's own coefficients count in the bound too
+    assert _pack([-7, 2], 3) % _pack(lin, 3) == 0
+    assert _divide_packed([-7, 2], lin, 3) is None
+    assert _divide_packed([1, 2, 1], lin, 2) == [1, 1]
+    assert _divide_packed([1, 2, 1], lin, 8) == [1, 1]
+    r = _quotient([0, 5], {(1, 1): 1}, 1)
+    assert (r.num, r.den) == (AlphaPoly((0, 5)), AlphaPoly((1, 1)))
