@@ -11,11 +11,12 @@ argument of the package and is what the verification suites exercise.
 import math
 from collections import Counter
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .algebra import (
-    ALPHA, AlphaPoly, RatFunc, _addmul, _pack, _quotient, _unpack, _width,
-    substitute_beta,
+    AlphaPoly, RatFunc, _addmul, _divide_linear, _linear_product, _pack, _poly,
+    _quotient, _unpack, _width, substitute_beta,
 )
 from .config import check_degree
 from .errors import DegreeMismatch, EmptyPartition, NegativeOrder
@@ -53,15 +54,17 @@ def _as_partition(p):
 @lru_cache(maxsize=None)
 def _cauchy_cofactors(n):
     """An integer common denominator D of the j_gamma over gamma of n, as
-    (factors, K), every cofactor D/j_gamma, an integer polynomial, and T,
-    the largest |theta|_1, the sum of the absolute coefficients, over every
-    character of the degree-n Jack table.
+    (factors, K), every cofactor D/j_gamma, an integer polynomial, and per
+    gamma T_gamma, the largest |theta_gamma(mu)|_1, the sum of the absolute
+    coefficients, over the row of gamma in the degree-n Jack table.
 
     j_gamma is an integer c_gamma times primitive linear factors q*a + p
     (hook_factors).  D is K times their lcm: the Counter factors maps each
     (p, q) to its largest multiplicity, and K is the lcm of the c_gamma; so
-    D/j_gamma is the integer K/c_gamma times the factors j_gamma leaves
-    over.
+    D/j_gamma is the integer K/c_gamma times the product of D's linear
+    factors, cached by _linear_product, with j_gamma's own factors divided
+    out by _divide_linear: no AlphaPoly product, and one cached product per
+    degree rather than one per gamma.
     """
     factored = {gamma: hook_factors(gamma) for gamma in generate_partitions(n)}
     common = Counter()
@@ -69,66 +72,74 @@ def _cauchy_cofactors(n):
     for const, factors in factored.values():
         common |= factors
         scale = math.lcm(scale, const)
+    whole = _linear_product(tuple(common.items()))
     cofactors = {}
     for gamma, (const, factors) in factored.items():
-        cofactor = AlphaPoly(scale // const)
-        for (p, q), m in (common - factors).items():
-            cofactor = cofactor * AlphaPoly((p, q)) ** m
-        cofactors[gamma] = cofactor
-    norm = max(sum(map(abs, theta.coeffs)) for row in jack_table(n).rows.values()
-               for theta in row.terms.values())
-    return common, scale, cofactors, norm
+        rest = [scale // const * c for c in whole]
+        for (p, q), m in factors.items():
+            for _ in range(m):
+                rest = _divide_linear(rest, p, q)
+        cofactors[gamma] = _poly(rest)
+    rows = jack_table(n).rows
+    norms = {gamma: max(sum(map(abs, theta.coeffs))
+                        for theta in rows[gamma].terms.values())
+             for gamma in factored}
+    return common, scale, cofactors, norms
+
+
+@lru_cache(maxsize=None)
+def _cauchy_packed(n, k):
+    """The Cauchy sum over k indices of degree n, packed once: a width B,
+    D/j_gamma for every gamma of n, and a dict from each mu of n to the
+    tuple of theta_gamma(mu) over the same gammas, 0 where it vanishes, all
+    evaluated at a = 2^B.
+
+    No coefficient of sum_gamma D/j_gamma prod theta_gamma(lam_i) over any
+    k indices lam_i exceeds sum_gamma |D/j_gamma|_1 T_gamma^k, T_gamma the
+    largest |theta_gamma(mu)|_1 of gamma's row, by the triangle inequality;
+    B is the _width of that bound, which is at most T^k sum_gamma
+    |D/j_gamma|_1 for the table's largest |theta|_1 T.  Packing is a ring
+    homomorphism, so the products and the sum of these integers are the
+    packed products and sum, with no width of their own.  The table is read
+    through the module's jack_table.
+    """
+    _, _, cofactors, norms = _cauchy_cofactors(n)
+    B = _width(sum(sum(map(abs, cofactor.coeffs)) * norms[gamma] ** k
+                   for gamma, cofactor in cofactors.items()))
+    rows = jack_table(n).rows
+    columns = {mu: [0] * len(cofactors) for mu in cofactors}
+    for i, gamma in enumerate(cofactors):
+        for mu, theta in rows[gamma].terms.items():
+            columns[mu][i] = _pack(theta.coeffs, B)
+    return (B, tuple(_pack(cofactor.coeffs, B) for cofactor in cofactors.values()),
+            {mu: tuple(column) for mu, column in columns.items()})
 
 
 @lru_cache(maxsize=None)
 def _cauchy_weights(others):
-    """A packing width B and, per gamma of n, its theta terms and the
-    integer polynomial D/j_gamma * prod theta_gamma(other) packed at 2^B; a
-    gamma whose product is zero is left out.  Each product is formed on
-    integer coefficient lists by _addmul, one shifted row per coefficient
-    of theta.
+    """Per gamma of n, the packed weight D/j_gamma * prod theta_gamma(other),
+    a product of packed integers, in the order of _cauchy_packed's columns.
 
-    No coefficient of sum_gamma theta_gamma(lam1) w_gamma exceeds
-    T * sum |w_gamma|_1, T the table's largest |theta|_1, whatever lam1 is,
-    so B is the _width of that bound.  The weights do not depend on lam1,
-    so every lam1 queried with the same others reuses them.
+    The weights do not depend on lam1, so every lam1 queried with the same
+    others reuses them.
     """
-    n = others[0].n
-    table = jack_table(n)
-    weights = []
-    _, _, cofactors, norm = _cauchy_cofactors(n)
-    for gamma, cofactor in cofactors.items():
-        terms = table.rows[gamma].terms
-        product = cofactor.coeffs
-        for other in others:
-            theta = terms.get(other)
-            if theta is None:
-                break
-            grown = []
-            for k, c in enumerate(theta.coeffs):
-                _addmul(grown, product, c, k)
-            product = grown
-        else:
-            weights.append((terms, product))
-    B = _width(norm * sum(sum(map(abs, w)) for _, w in weights))
-    return B, tuple((terms, _pack(w, B)) for terms, w in weights)
+    _, weights, columns = _cauchy_packed(others[0].n, len(others) + 1)
+    for other in others:
+        weights = tuple(map(mul, weights, columns[other]))
+    return weights
 
 
 @lru_cache(maxsize=None)
 def _cauchy_cached(lam1, others):
     """Sum every term over the common denominator D, then cancel D's factors.
 
-    The characters and the weights are integer polynomials, so the sum is
-    one big integer at alpha = 2^B, unpacked once; z * a^len(lam1) times it
-    is then divided by D's known linear factors, with no gcd: _quotient
-    divides by their product at once, packed and checked.
+    The sum is one big integer at alpha = 2^B, the products of lam1's
+    packed thetas with the packed weights, unpacked once; z * a^len(lam1)
+    times it is then divided by D's known linear factors, with no gcd:
+    _quotient divides by their product at once, packed and checked.
     """
-    B, weights = _cauchy_weights(others)
-    total = 0
-    for terms, weight in weights:
-        theta = terms.get(lam1)
-        if theta is not None:
-            total += _pack(theta.coeffs, B) * weight
+    B, _, columns = _cauchy_packed(lam1.n, len(others) + 1)
+    total = sum(map(mul, columns[lam1], _cauchy_weights(others)))
     factors, scale, _, _ = _cauchy_cofactors(lam1.n)
     z = z_aut_class(lam1)[0]
     return _quotient([0] * len(lam1) + [z * c for c in _unpack(total, B)],
@@ -157,21 +168,23 @@ def _bracket(lam, pos, coefficient_of):
     """The part-surgery sum of the recurrence, pivoting on lam[pos].
 
     `coefficient_of` maps a partition one box smaller to its coefficient,
-    which lets the same expression serve the (n),(n) recurrence and the
-    general nu identity.
+    an AlphaPoly, which lets the same expression serve the (n),(n)
+    recurrence and the general nu identity.  The terms accumulate on one
+    coefficient list, made an AlphaPoly once: (alpha - 1)(k - 1) c adds
+    c's list twice, once shifted, and alpha * part * c once, shifted.
     """
     k = lam[pos]
-    total = None
+    acc = []
     if k >= 2:
-        total = coefficient_of(down_k(lam, k)) * ((ALPHA - 1) * (k - 1))
+        cs = coefficient_of(down_k(lam, k)).coeffs
+        _addmul(acc, cs, k - 1, 1)
+        _addmul(acc, cs, 1 - k)
     for d in range(1, k - 1):
-        term = coefficient_of(up_kl(lam, k - 1 - d, d))
-        total = term if total is None else total + term
+        _addmul(acc, coefficient_of(up_kl(lam, k - 1 - d, d)).coeffs, 1)
     for j, part in enumerate(lam):
         if j != pos:
-            term = coefficient_of(down_kl(lam, k, part)) * (ALPHA * part)
-            total = term if total is None else total + term
-    return total
+            _addmul(acc, coefficient_of(down_kl(lam, k, part)).coeffs, part, 1)
+    return _poly(acc)
 
 
 def a_nn_recurrence(lam):
@@ -198,15 +211,29 @@ a_nn_recurrence.cache_info = _a_nn.cache_info
 
 
 def pivot_values(lam):
-    """The bracket value pivoting on each distinct part of lam, largest first."""
+    """The bracket value pivoting on each distinct part of lam, largest first.
+
+    The bracket takes a partition of at least two boxes; (1) is the
+    recurrence's base case.
+    """
     lam = _as_partition(lam)
+    if lam.n < 2:
+        raise EmptyPartition("the bracket needs two boxes, got %d" % lam.n)
     check_degree(lam.n)
     return [_bracket(lam, pos, a_nn_recurrence)
             for pos, part in enumerate(lam) if not pos or lam[pos - 1] != part]
 
 
 def verify_i_independence(lam):
-    """True when every pivot part yields the identical bracket value."""
+    """True when every pivot part yields the identical bracket value.
+
+    The base case (1) has one pivot and no bracket, so it holds trivially;
+    the empty partition, where the recurrence does not start, raises
+    EmptyPartition.
+    """
+    lam = _as_partition(lam)
+    if lam.n == 1:
+        return True
     values = pivot_values(lam)
     return all(v == values[0] for v in values)
 
@@ -227,20 +254,20 @@ def thm_rec_sides(lam, nu):
     if n == 0:
         raise EmptyPartition("the raising identity needs nu of weight at least 1")
     mults = nu.multiplicities()
-    lhs = AlphaPoly()
+    lhs = []
     for value in mults:
         i = value + 1
         factor = i * (mults.get(i, 0) + 1)
         grown = a_cauchy(lam, [Partition([n + 1]), up_k(nu, value)])
-        lhs = lhs + grown.as_poly() * factor
+        _addmul(lhs, grown.as_poly().coeffs, factor)
 
     def coefficient_of(rho):
         return a_cauchy(rho, [Partition([n]), nu]).as_poly()
 
-    rhs = AlphaPoly()
+    rhs = []
     for pos, part in enumerate(lam):
-        rhs = rhs + _bracket(lam, pos, coefficient_of) * part
-    return lhs, rhs
+        _addmul(rhs, _bracket(lam, pos, coefficient_of).coeffs, part)
+    return _poly(lhs), _poly(rhs)
 
 
 def verify_thm_rec(lam, nu):

@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -11,7 +14,8 @@ import jackcc.connection
 import jackcc.jack
 import jackcc.psum
 from algebra_oracle import poly_gcd
-from jackcc.algebra import ALPHA, ONE, AlphaPoly, RatFunc, substitute_beta
+from connection_oracle import bracket as oracle_bracket
+from jackcc.algebra import ALPHA, ONE, AlphaPoly, RatFunc, _unpack, _width, substitute_beta
 from jackcc.connection import (
     CoeffResult, a_cauchy, a_lr, a_nn_recurrence, generator_properties, thm_rec_sides,
     verify_i_independence, verify_thm_rec,
@@ -77,6 +81,60 @@ def test_i_independence():
     for n in range(2, 8):
         for lam in generate_partitions(n):
             assert verify_i_independence(lam), lam
+
+
+def test_bracket_matches_the_ring_oracle(monkeypatch):
+    assert not hasattr(jackcc.connection, "ALPHA")
+    monkeypatch.setenv("JACKCC_MAX_N", "9")
+    a_nn = jackcc.connection._a_nn
+    for n in range(2, 10):
+        for lam in generate_partitions(n):
+            for pos in range(len(lam)):
+                got = jackcc.connection._bracket(lam, pos, a_nn)
+                assert got == oracle_bracket(lam, pos, a_nn), (lam, pos)
+                assert all(type(c) is int for c in got.coeffs), (lam, pos)
+
+
+def test_bracket_returns_integral_fraction_sums_as_int():
+    """A coefficient_of with Fraction coefficients: the list sum equals the
+    ring oracle, and each integral coefficient comes back as an int."""
+    def coefficient_of(rho):
+        return AlphaPoly([Fraction(c, len(rho) + 1)
+                          for c in jackcc.connection._a_nn(rho).coeffs])
+
+    seen = set()
+    for n in range(2, 8):
+        for lam in generate_partitions(n):
+            for pos in range(len(lam)):
+                got = jackcc.connection._bracket(lam, pos, coefficient_of)
+                assert got == oracle_bracket(lam, pos, coefficient_of), (lam, pos)
+                for c in got.coeffs:
+                    assert type(c) is (int if c.denominator == 1 else Fraction)
+                    seen.add(type(c))
+    assert seen == {int, Fraction}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+def test_pivot_values_need_two_boxes(flags):
+    """(1) and the empty partition have no bracket; the refusal is not an
+    assert, so it holds under python -O as well."""
+    probe = ("from jackcc.connection import pivot_values\n"
+             "from jackcc.errors import EmptyPartition\n"
+             "for parts in ([1], []):\n"
+             "    try:\n"
+             "        pivot_values(parts)\n"
+             "    except EmptyPartition as exc:\n"
+             "        print(exc)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jackcc.connection.__file__)))
+    done = subprocess.run([sys.executable, *flags, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == ("the bracket needs two boxes, got 1\n"
+                           "the bracket needs two boxes, got 0\n")
+    assert verify_i_independence(P([1]))
+    with pytest.raises(EmptyPartition):
+        verify_i_independence(P([]))
 
 
 def test_thm_rec_hand_case():
@@ -380,18 +438,111 @@ def test_cauchy_matches_per_gamma_oracle():
                 assert _equals_pair(a_cauchy(lam, others), want), (lam, others)
 
 
+def _cauchy_caches():
+    """Every cache of the Cauchy route: each connection attribute named
+    _cauchy* that has cache_clear."""
+    found = {name: getattr(jackcc.connection, name)
+             for name in dir(jackcc.connection) if name.startswith("_cauchy")}
+    return {name: fn for name, fn in found.items() if hasattr(fn, "cache_clear")}
+
+
+def test_cold_cauchy_clears_every_cauchy_cache():
+    assert {"_cauchy_cofactors", "_cauchy_packed", "_cauchy_weights",
+            "_cauchy_cached"} <= set(_cauchy_caches())
+
+
 @pytest.fixture
 def cold_cauchy():
     """Empty the Cauchy caches before and after, so that no value computed
     under a patch outlives the test."""
-    caches = (jackcc.connection._cauchy_cofactors,
-              jackcc.connection._cauchy_weights,
-              jackcc.connection._cauchy_cached)
+    caches = _cauchy_caches().values()
     for cache in caches:
         cache.cache_clear()
     yield
     for cache in caches:
         cache.cache_clear()
+
+
+def _theta_norm(theta):
+    return sum(map(abs, theta.coeffs))
+
+
+def test_cauchy_width_is_proven_per_degree_and_index_count(cold_cauchy):
+    """B is the width of sum_gamma |D/j_gamma|_1 T_gamma^k, T_gamma the
+    largest |theta_gamma|_1 of gamma's row, and never wider than the width
+    of T^k sum_gamma |D/j_gamma|_1 for the table's largest |theta|_1 T."""
+    for n in range(0, 8):
+        rows = jack_table(n).rows
+        cofactors = jackcc.connection._cauchy_cofactors(n)[2]
+        sizes = {gamma: _theta_norm(c) for gamma, c in cofactors.items()}
+        row_norms = {gamma: max(map(_theta_norm, rows[gamma].terms.values()))
+                     for gamma in cofactors}
+        T = max(row_norms.values())
+        for k in range(1, 5):
+            B = jackcc.connection._cauchy_packed(n, k)[0]
+            assert B == _width(sum(sizes[g] * row_norms[g] ** k for g in sizes)), (n, k)
+            assert B <= _width(T ** k * sum(sizes.values())), (n, k)
+
+
+def test_cauchy_sum_fits_the_packing_width(cold_cauchy):
+    """For every lam1 and others, k indices in all, n <= 6 and k <= 4, the
+    sum over gamma of D/j_gamma times the k characters, formed as AlphaPoly
+    products, has every coefficient below 2^(B-1), and the packed sum
+    unpacks to it.  The sum is symmetric in its k indices, so each
+    multiset of indices is formed once."""
+    connection = jackcc.connection
+    for n in range(1, 7):
+        parts = generate_partitions(n)
+        table = jack_table(n)
+        cofactors = connection._cauchy_cofactors(n)[2]
+
+        @lru_cache(maxsize=None)
+        def product(gamma, indices):
+            if not indices:
+                return cofactors[gamma]
+            return product(gamma, indices[:-1]) * table.theta(gamma, indices[-1])
+
+        for k in range(2, 5):
+            B, _, columns = connection._cauchy_packed(n, k)
+            for indices in itertools.combinations_with_replacement(parts, k):
+                want = AlphaPoly()
+                for gamma in parts:
+                    want = want + product(gamma, indices)
+                assert all(abs(c) < 1 << (B - 1) for c in want.coeffs), indices
+                lam1, others = indices[0], tuple(sorted(indices[1:], reverse=True))
+                weights = connection._cauchy_weights(others)
+                total = sum(c * w for c, w in zip(columns[lam1], weights))
+                assert tuple(_unpack(total, B)) == want.coeffs, indices
+
+
+def test_cold_cauchy_makes_no_ring_product_and_packs_once(monkeypatch, cold_cauchy):
+    """A cold a_cauchy(lam, [(n), (n)]) over every lam of n <= 7 makes no
+    AlphaPoly product, and packs each cofactor and each character of the
+    table once for the degree, not once per weight."""
+    for n in range(1, 8):
+        jack_table(n)
+    products, packed = [], []
+    mul, pack = AlphaPoly.__mul__, jackcc.connection._pack
+
+    def counting_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    def counting_pack(cs, B):
+        packed.append(B)
+        return pack(cs, B)
+
+    monkeypatch.setattr(AlphaPoly, "__mul__", counting_mul)
+    monkeypatch.setattr(AlphaPoly, "__rmul__", counting_mul)
+    monkeypatch.setattr(jackcc.connection, "_pack", counting_pack)
+    for n in range(1, 8):
+        packed.clear()
+        full = P([n])
+        for lam in generate_partitions(n):
+            a_cauchy(lam, [full, full])
+        rows = jack_table(n).rows.values()
+        assert len(packed) == sum(1 + len(row.terms) for row in rows), n
+        assert not products, n
 
 
 def test_cauchy_skips_a_vanishing_character(monkeypatch, cold_cauchy):
