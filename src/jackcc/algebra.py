@@ -5,9 +5,10 @@ rational coefficients, each stored as an int when it is integral and as a
 Fraction only when it is not, so integer polynomials add and multiply in
 plain big-int arithmetic.  The ring has no general division.  The hot
 loops skip the polynomial objects and work on integer coefficient lists:
-_addmul accumulates a scaled, shifted list into another, _divide_linear
-is the exact quotient by a linear factor q*a + p, which the Jack solver
-and _quotient share, and _divide_int the exact quotient by an integer.
+_addmul accumulates a scaled, shifted list into another, _linear_list
+multiplies out a product of linear factors q*a + p, _divide_linear is the
+exact quotient by one such factor, which the Jack solver and _quotient
+share, and _divide_int the exact quotient by an integer.
 
 Sums of products of integer polynomials run packed (Kronecker
 substitution; Harvey, J. Symbolic Comput. 44, 2009): _pack evaluates each
@@ -466,17 +467,22 @@ def _divide_packed(num, lin, B):
     return quo
 
 
+def _linear_list(pairs):
+    """The integer coefficient list of prod (q*a + p) over the pairs (p, q),
+    one factor at a time; a factor with q = 0 adds no term."""
+    out = [1]
+    for p, q in pairs:
+        grown = [p * c for c in out]
+        if q:
+            _addmul(grown, out, q, 1)
+        out = grown
+    return out
+
+
 @lru_cache(maxsize=None)
 def _linear_product(factors):
     """The coefficients of prod (q*a + p)^m over the pairs ((p, q), m)."""
-    out = [1]
-    for (p, q), m in factors:
-        for _ in range(m):
-            grown = []
-            _addmul(grown, out, p)
-            _addmul(grown, out, q, 1)
-            out = grown
-    return tuple(out)
+    return tuple(_linear_list(pq for pq, m in factors for _ in range(m)))
 
 
 def _quotient(num, factors, scale):

@@ -7,7 +7,6 @@ order, and the machine formats carry no timing information.
 """
 
 import argparse
-import csv
 import io
 import json
 import sys
@@ -24,7 +23,7 @@ from .errors import (
     DegreeTooLarge, DegreeTooSmall, IoError, JackccError, MissingPart,
     NegativeOrder, UnknownSuite, UnsupportedFormat,
 )
-from .jack import inner_product, jack_table
+from .jack import gram_entry, jack_table
 from .matchings import (
     bipartite_count, counting_recurrence_check, enumerate_good, good_count,
     weight_distribution,
@@ -138,6 +137,10 @@ def emit(payload, fmt, path=None):
     elif fmt == "json":
         body = _json(payload.to_json()) + "\n"
     elif fmt == "csv":
+        # imported here: the csv module is about 65 KB of heap at start-up
+        # that the text and JSON formats never use
+        import csv
+
         header, rows = payload.to_csv_rows()
         sink = io.StringIO()
         writer = csv.writer(sink, lineterminator="\n")
@@ -209,19 +212,17 @@ def _checks_orthogonality(max_n):
         for lam in parts:
             desc = "<J_%s, J_%s>" % (lam.to_text(), lam.to_text())
 
-            def run(lam=lam, n=n):
-                table = jack_table(n)
-                got = inner_product(table.row(lam), table.row(lam))
+            def run(lam=lam):
+                got = gram_entry(lam, lam)
                 want = hooks(lam)[2]
                 return got == want, got.to_text(), want.to_text()
 
             out.append((desc, run))
         desc = "off-diagonal pairings vanish at degree %d" % n
 
-        def run_off(n=n, parts=parts):
-            table = jack_table(n)
+        def run_off(parts=parts):
             bad = sum(1 for i, lam in enumerate(parts) for mu in parts[i + 1:]
-                      if not inner_product(table.row(lam), table.row(mu)).is_zero)
+                      if not gram_entry(lam, mu).is_zero)
             return bad == 0, "%d nonzero" % bad, "0 nonzero"
 
         out.append((desc, run_off))
@@ -358,10 +359,13 @@ def _cmd_jack(args):
         rows = tuple((mu.to_text(), c.to_text())
                      for mu, c in row.items())
         return Table(("mu", "theta"), rows, json_obj=row.to_json()), 0
+    if args.format == "json":
+        # the JSON body is the table's own; text rows would go unwritten
+        return Table(("lambda", "mu", "theta"), (), json_obj=table.to_json()), 0
     rows = tuple((lam.to_text(), mu.to_text(), c.to_text())
                  for lam in table
                  for mu, c in table.row(lam).items())
-    return Table(("lambda", "mu", "theta"), rows, json_obj=table.to_json()), 0
+    return Table(("lambda", "mu", "theta"), rows), 0
 
 
 def _coeff_table(lam_text, value):

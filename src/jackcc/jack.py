@@ -19,22 +19,30 @@ p -> m, dividing by its diagonal, gives theta, with theta on [1^n] equal
 to 1.  The gap is q*alpha + p with q = n(lam') - n(kappa') > 0 for kappa
 below lam in dominance, so it never vanishes, though partitions such as
 (2,2,2) and (3,1,1,1) share an eigenvalue: they are not comparable.
+
+The rows are orthogonal under the power-sum pairing, <J_lam, J_mu> =
+delta j_lam (Stanley 1989; Macdonald VI.10).  gram_entry reads a pairing
+of two rows from the Gram matrix of their degree, built once per degree:
+every theta is packed once at alpha = 2^B, one width B proven for the
+whole degree, and each pairing is one sum of big-int products, unpacked
+once.  inner_product is the general pairing of any two vectors.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .algebra import (
-    AlphaPoly, _addmul, _divide_int, _divide_linear, _pack, _poly, _unpack,
-    _width,
+    AlphaPoly, _addmul, _divide_int, _divide_linear, _linear_list, _pack,
+    _poly, _unpack, _width,
 )
 from .config import check_degree
 from .errors import DegenerateSystem, DegreeMismatch
 from .partitions import Partition, eigenvalue, generate_partitions, z_aut_class
 from .psum import PSumVector, transition_matrix
 
-__all__ = ["JackTable", "jack_table", "inner_product"]
+__all__ = ["JackTable", "jack_table", "gram_entry", "inner_product"]
 
 
 def _d_on_monomials(n):
@@ -68,13 +76,7 @@ def _solve_row(lam, matrix, eigenvalues, transition):
     order = generate_partitions(n)
     e0, e1 = eigenvalues[lam]
     # c_lam, the product of arm*a + leg + 1 over the boxes of lam
-    top = [1]
-    for box in lam.boxes():
-        grown = [(box.leg + 1) * c for c in top]
-        if box.arm:
-            _addmul(grown, top, box.arm, 1)
-        top = grown
-    sums = {lam: top}
+    sums = {lam: _linear_list((box.leg + 1, box.arm) for box in lam.boxes())}
     for kappa in order[order.index(lam):]:
         total = sums.get(kappa)
         if total is None:
@@ -116,10 +118,14 @@ class JackTable:
         self.rows = dict(rows)
 
     def row(self, lam):
-        return self.rows[Partition(lam)]
+        lam = Partition(lam)
+        if lam.n != self.n:
+            raise DegreeMismatch("row %s in a degree-%d table"
+                                 % (lam.to_text(), self.n))
+        return self.rows[lam]
 
     def theta(self, lam, mu):
-        return self.rows[Partition(lam)].coeff(mu)
+        return self.row(lam).coeff(mu)
 
     def __iter__(self):
         return iter(generate_partitions(self.n))
@@ -154,6 +160,60 @@ def jack_table(n):
     """Every theta row of degree n, built once per degree."""
     check_degree(n)
     return _build_table(n)
+
+
+def _gram_width(table):
+    """B = _width(sum_mu z_mu T_mu^2), T_mu the largest |theta_lam(mu)|_1
+    over the rows of table.
+
+    By the triangle inequality no coefficient of the pairing of two rows,
+    sum_mu z_mu a^len(mu) theta_lam(mu) theta_kappa(mu), exceeds
+    sum_mu z_mu |theta_lam(mu)|_1 |theta_kappa(mu)|_1 <= sum_mu z_mu T_mu^2.
+    """
+    top = {}
+    for row in table.rows.values():
+        for mu, c in row.terms.items():
+            top[mu] = max(top.get(mu, 0), sum(map(abs, c.coeffs)))
+    return _width(sum(z_aut_class(mu)[0] * t * t for mu, t in top.items()))
+
+
+@lru_cache(maxsize=None)
+def _gram(n):
+    """The Gram matrix of degree n, {lam: {mu: <J_lam, J_mu>}}.
+
+    Every theta is packed once at a = 2^B, B = _gram_width; each row is
+    weighted by z_mu 2^(B len(mu)) once, so each pairing is one sum of
+    products against the other packed row, and one _unpack reads it.  A
+    packed off-diagonal sum of 0 proves the pairing zero: balanced
+    base-2^B digits below 2^(B-1) are unique.  Only the polynomials are
+    kept.
+    """
+    table = jack_table(n)
+    parts = generate_partitions(n)
+    B = _gram_width(table)
+    packed = {}
+    for lam in parts:
+        terms = table.rows[lam].terms
+        packed[lam] = [_pack(terms[mu].coeffs, B) if mu in terms else 0
+                       for mu in parts]
+    weights = [z_aut_class(mu)[0] << (B * len(mu)) for mu in parts]
+    gram = {lam: {} for lam in parts}
+    for i, lam in enumerate(parts):
+        weighted = list(map(mul, weights, packed[lam]))
+        for mu in parts[i:]:
+            gram[lam][mu] = gram[mu][lam] = _poly(
+                _unpack(sum(map(mul, weighted, packed[mu])), B))
+    return gram
+
+
+def gram_entry(lam, mu):
+    """<J_lam, J_mu>, read from the Gram matrix of their degree."""
+    lam = lam if type(lam) is Partition else Partition(lam)
+    mu = mu if type(mu) is Partition else Partition(mu)
+    if lam.n != mu.n:
+        raise DegreeMismatch("partitions of %d and %d" % (lam.n, mu.n))
+    check_degree(lam.n)
+    return _gram(lam.n)[lam][mu]
 
 
 def inner_product(u, v):

@@ -9,7 +9,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import ALPHA, AlphaPoly
+from .algebra import ALPHA, AlphaPoly, _linear_list, _poly
 from .config import check_degree
 from .errors import DegreeMismatch, MissingPart, NegativeOrder
 
@@ -171,12 +171,14 @@ def up_kl(lam, k, l):
 
 
 def hooks(lam):
-    """Hook products (h, h', j) with j = h*h', as polynomials in the parameter."""
-    h = AlphaPoly(1)
-    h2 = AlphaPoly(1)
-    for box in Partition(lam).boxes():
-        h = h * AlphaPoly((box.leg + 1, box.arm))
-        h2 = h2 * AlphaPoly((box.leg, box.arm + 1))
+    """Hook products (h, h', j) with j = h*h', as polynomials in the parameter.
+
+    h and h' are built on integer coefficient lists, from the box factors
+    (leg+1) + arm*a and leg + (arm+1)*a.
+    """
+    boxes = list(Partition(lam).boxes())
+    h = _poly(_linear_list((box.leg + 1, box.arm) for box in boxes))
+    h2 = _poly(_linear_list((box.leg, box.arm + 1) for box in boxes))
     return h, h2, h * h2
 
 

@@ -48,7 +48,15 @@ class PSumVector:
 
     def coeff(self, mu):
         mu = mu if isinstance(mu, Partition) else Partition(mu)
-        return self.terms.get(mu, _ZERO)
+        c = self.terms.get(mu)
+        if c is not None:
+            return c
+        # every stored key has the vector's degree, so only a miss can
+        # be a key of another degree
+        if mu.n != self.degree:
+            raise DegreeMismatch(
+                "key %s in a degree-%d vector" % (mu.to_text(), self.degree))
+        return _ZERO
 
     @property
     def is_zero(self):

@@ -503,6 +503,21 @@ def test_checks_survive_optimized_mode():
     assert json.loads(plain.stdout)["n"] == 4
 
 
+def test_csv_module_loads_only_for_csv_output():
+    probe = ("import contextlib, io, sys\n"
+             "import jackcc.cli\n"
+             "print('csv' in sys.modules)\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    jackcc.cli.main(['partitions', '3', '--format', 'json'])\n"
+             "print('csv' in sys.modules)\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    jackcc.cli.main(['partitions', '3', '--format', 'csv'])\n"
+             "print('csv' in sys.modules)\n")
+    done = _python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\nFalse\nTrue\n"
+
+
 def test_input_checks_in_optimized_mode():
     probe = ("from jackcc import errors\n"
              "from jackcc.algebra import ALPHA\n"

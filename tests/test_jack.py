@@ -1,14 +1,21 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from jackcc.algebra import ALPHA, AlphaPoly, RatFunc
+import jackcc
+from jackcc.algebra import ALPHA, AlphaPoly, RatFunc, _width
 from jackcc.cli import main
 from jackcc.errors import DegreeMismatch, DegreeTooLarge
-from jackcc.jack import JackTable, _d_on_monomials, inner_product, jack_table
+from jackcc.jack import (
+    JackTable, _d_on_monomials, _gram_width, gram_entry, inner_product,
+    jack_table,
+)
 from jackcc.partitions import (
     Partition, eigenvalue, generate_partitions, hooks, leq_dominance,
     theta_top, z_aut_class,
@@ -112,6 +119,89 @@ def test_orthogonality():
             assert inner_product(v, v) == RatFunc(hooks(lam)[2])
             for mu in parts[i + 1:]:
                 assert inner_product(v, table.row(mu)).is_zero
+
+
+def test_gram_matches_inner_product():
+    for n in range(1, 9):
+        table = jack_table(n)
+        for lam in table:
+            for mu in table:
+                got = gram_entry(lam, mu)
+                assert got == inner_product(table.row(lam), table.row(mu))
+                assert all(type(c) is int for c in got.coeffs)
+    assert gram_entry([2, 1], (3,)).is_zero
+    assert gram_entry((2,), [2]) == hooks(P([2]))[2]
+
+
+def test_gram_width_is_proven_per_degree():
+    for n in range(1, 9):
+        table = jack_table(n)
+        parts = generate_partitions(n)
+        top = {mu: max(sum(map(abs, table.theta(lam, mu).coeffs))
+                       for lam in parts) for mu in parts}
+        bound = sum(z_aut_class(mu)[0] * top[mu] ** 2 for mu in parts)
+        B = _gram_width(table)
+        assert B == _width(bound)
+        for lam in parts:
+            for kappa in parts:
+                pair = sum(z_aut_class(mu)[0]
+                           * sum(map(abs, table.theta(lam, mu).coeffs))
+                           * sum(map(abs, table.theta(kappa, mu).coeffs))
+                           for mu in parts)
+                assert pair <= bound
+                got = inner_product(table.row(lam), table.row(kappa))
+                assert all(abs(c) < 2 ** (B - 1) for c in got.coeffs)
+
+
+def test_cold_orthogonality_suite_makes_no_inner_product_call():
+    # a fresh interpreter, so that the tables and the Gram matrices are
+    # built inside the suite; every binding of inner_product is counted
+    probe = (
+        "import contextlib, io\n"
+        "import jackcc, jackcc.cli, jackcc.jack\n"
+        "real = jackcc.jack.inner_product\n"
+        "calls = []\n"
+        "def counting(u, v):\n"
+        "    calls.append(1)\n"
+        "    return real(u, v)\n"
+        "for module in (jackcc, jackcc.jack, jackcc.cli):\n"
+        "    if getattr(module, 'inner_product', None) is real:\n"
+        "        module.inner_product = counting\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = jackcc.cli.main(['verify', '--suite', 'orthogonality',\n"
+        "                              '--max-n', '7'])\n"
+        "print(status, len(calls))\n"
+        "row = jackcc.jack_table(2).row((2,))\n"
+        "jackcc.inner_product(row, row)\n"
+        "print(len(calls))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jackcc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("JACKCC_MAX_N", None)
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 0\n1\n"
+
+
+def test_keys_of_another_degree_are_refused():
+    table = jack_table(3)
+    with pytest.raises(DegreeMismatch):
+        table.theta((2, 1), (2, 2))
+    with pytest.raises(DegreeMismatch):
+        table.theta((2, 2), (2, 1))
+    with pytest.raises(DegreeMismatch):
+        table.row((2, 2))
+    with pytest.raises(DegreeMismatch):
+        table.row(())
+    with pytest.raises(DegreeMismatch):
+        table.row((2, 1)).coeff((1,))
+    with pytest.raises(DegreeMismatch):
+        gram_entry((2, 1), (2, 2))
+    with pytest.raises(DegreeMismatch):
+        psum_unit(P([2])).coeff(P([1, 1, 1]))
+    # a key of the right degree outside the support still reads 0
+    assert psum_unit(P([2])).coeff((1, 1)).is_zero
+    assert table.theta((3,), (3,)) == 2 * ALPHA ** 2
 
 
 def _pairing_term_by_term(u, v):
@@ -261,3 +351,50 @@ def test_orthogonality_report_is_pinned(capsys, monkeypatch):
                  "--format", "json"]) == 0
     out = capsys.readouterr().out.encode("utf-8")
     assert hashlib.sha256(out).hexdigest() == ORTHOGONALITY_SHA256
+
+
+# sha256 of `jackcc verify --suite orthogonality --max-n 10 --format json`
+# under JACKCC_MAX_N=10, recorded while the suite called inner_product for
+# every pair of rows.
+ORTHOGONALITY_10_SHA256 = (
+    "6bcbc94d688b3c75a16623712fa2704522d0d1d57870aace40521278795f0093")
+
+
+def test_orthogonality_report_to_degree_10_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("JACKCC_MAX_N", "10")
+    assert main(["verify", "--suite", "orthogonality", "--max-n", "10",
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == ORTHOGONALITY_10_SHA256
+
+
+# sha256 of `jackcc jack --n 7` as text and as CSV, recorded while the
+# command rendered the text rows for every format.
+TABLE_7_TEXT_DIGESTS = {
+    "text": "2ed5595638c3709238cc5c0e95b1c1c6f014a43d7901cdd272488cb84f822cda",
+    "csv": "69ce27d94e4c689f77e55a62936f051151a50b04de3310bbd1a81bd2580169e8",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TABLE_7_TEXT_DIGESTS))
+def test_table_text_and_csv_are_pinned(fmt, capsys, monkeypatch):
+    monkeypatch.delenv("JACKCC_MAX_N", raising=False)
+    assert main(["jack", "--n", "7", "--format", fmt]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == TABLE_7_TEXT_DIGESTS[fmt]
+
+
+def test_table_json_renders_no_text(capsys, monkeypatch):
+    calls = []
+    real = AlphaPoly.to_text
+
+    def counting(self, var="a"):
+        calls.append(1)
+        return real(self, var)
+
+    monkeypatch.setattr(AlphaPoly, "to_text", counting)
+    assert main(["jack", "--n", "6", "--format", "json"]) == 0
+    assert capsys.readouterr().out.startswith("{")
+    assert calls == []
+    assert main(["jack", "--n", "2"]) == 0
+    assert capsys.readouterr().out and calls

@@ -149,6 +149,26 @@ def test_hook_degrees_and_specialization():
             assert j(1) == hook_product ** 2
 
 
+def _hooks_as_products(lam):
+    """(h, h', j) as AlphaPoly products, two per box."""
+    h = AlphaPoly(1)
+    h2 = AlphaPoly(1)
+    for box in Partition(lam).boxes():
+        h = h * AlphaPoly((box.leg + 1, box.arm))
+        h2 = h2 * AlphaPoly((box.leg, box.arm + 1))
+    return h, h2, h * h2
+
+
+def test_hooks_match_the_product_form(monkeypatch):
+    monkeypatch.setenv("JACKCC_MAX_N", "10")
+    for n in range(0, 11):
+        for lam in generate_partitions(n):
+            got = hooks(lam)
+            assert [p.coeffs for p in got] == [
+                p.coeffs for p in _hooks_as_products(lam)], lam
+            assert all(type(c) is int for p in got for c in p.coeffs)
+
+
 def test_hook_factors_multiply_to_j():
     # j_(2) = 2 a^2 (a + 1); j_(2,1) = a^2 (a + 2) (2a + 1)
     assert hook_factors(Partition([2])) == (2, {(0, 1): 2, (1, 1): 1})
