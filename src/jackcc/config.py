@@ -1,6 +1,7 @@
 """Degree bound shared by the caches and the enumeration routines."""
 
 import os
+from functools import lru_cache
 
 from .errors import BadConfig, DegreeTooLarge
 
@@ -10,8 +11,12 @@ DEFAULT_BOUND = 8
 def degree_bound():
     """Current bound; the JACKCC_MAX_N environment variable overrides the default."""
     raw = os.environ.get("JACKCC_MAX_N")
-    if raw is None:
-        return DEFAULT_BOUND
+    return DEFAULT_BOUND if raw is None else _parse_bound(raw)
+
+
+@lru_cache(maxsize=None)
+def _parse_bound(raw):
+    """The bound a JACKCC_MAX_N value names; a bad value raises on every call."""
     digits = raw.strip()
     bound = int(digits) if digits.isascii() and digits.isdigit() else 0
     if bound < 1:

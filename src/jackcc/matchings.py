@@ -10,16 +10,17 @@ deleting vertex 1 together with its matched partner.  One deletion already
 lands on a good matching of the reduced partition, so each partition's
 weights are computed once, from the reduced partitions' weight tables.
 
-The search keeps one store per partition: each good matching's partner
-array as one byte row, and one parity bit each.  The counts, the weights
-and the recurrence audit read that store; ``Matching`` objects (partner
-tuples) are built only when the matchings themselves are listed.
+The search keeps one store per partition: one byte block holding every
+good matching's partner array as a row of 2n + 1 bytes, and one parity
+byte per row.  The counts, the weights and the recurrence audit read the
+block by column; rows are split out only to list the matchings, as
+``Matching`` objects (partner tuples), and to key the weight tables that
+look up the reduced rows of a higher degree.
 """
 
 from collections import Counter
 from functools import lru_cache
-from itertools import compress, groupby
-from operator import itemgetter
+from itertools import compress
 from typing import NamedTuple
 
 from .algebra import AlphaPoly
@@ -36,6 +37,10 @@ __all__ = [
     "good_matchings", "good_count", "enumerate_good", "reduce", "weight",
     "weight_distribution", "bipartite_count", "counting_recurrence_check",
 ]
+
+
+# byte b -> 1 when b is even: a partner read through it is 1 when hatted
+_EVEN = b"\1\0" * 128
 
 
 def _label_text(v):
@@ -162,17 +167,15 @@ def build_canonical(lam):
     return LambdaGraph(lam, gray, black)
 
 
-def _search(partner, gend, bend, free, mixed, out, bits):
+def _search(partner, gend, bend, free, out):
     """Pair the smallest free vertex a with each allowed partner in turn.
 
     free lists the unmatched vertices in increasing order, at least 4;
     gend and bend map each path end to the other end of its gray and black
-    path; mixed is 1 while every edge chosen so far joins an unhatted
-    vertex to a hatted one.  Each leaf writes every vertex's partner on
-    its way down, so no entry of partner is reset.  With four free, the
-    two left after a's pair close the last path, so they pair without
-    recursing and the leaf is recorded in place; that pair mixes parities
-    whenever every other edge does.
+    path.  Each leaf writes every vertex's partner on its way down, so no
+    entry of partner is reset.  With four free, the two left after a's
+    pair close the last path, so they pair without recursing and the leaf
+    is appended in place to the bytearray out.
     """
     a = free[0]
     ga, ba = gend[a], bend[a]
@@ -181,8 +184,7 @@ def _search(partner, gend, bend, free, mixed, out, bits):
         for v, x, y in ((b, c, d), (c, b, d), (d, b, c)):
             if v != ga and v != ba:
                 partner[a], partner[v], partner[x], partner[y] = v, a, y, x
-                out.append(bytes(partner))
-                bits.append(mixed & (a ^ v))
+                out += partner
         return
     for i in range(1, len(free)):
         v = free[i]
@@ -192,41 +194,55 @@ def _search(partner, gend, bend, free, mixed, out, bits):
         gv, bv = gend[v], bend[v]
         gend[ga], gend[gv] = gv, ga
         bend[ba], bend[bv] = bv, ba
-        _search(partner, gend, bend, free[1:i] + free[i + 1:],
-                mixed & (a ^ v), out, bits)
+        _search(partner, gend, bend, free[1:i] + free[i + 1:], out)
         gend[ga], gend[gv] = a, v
         bend[ba], bend[bv] = a, v
 
 
 @lru_cache(maxsize=None)
 def _store(lam):
-    """The good matchings of lam: byte rows and their parity bits.
+    """The good matchings of lam: one byte block and its parity bits.
 
-    Row k is the k-th partner array in lexicographic order, as bytes, so
-    lam has at most 127 boxes; byte k of the bits is 1 when every edge of
-    the k-th matching mixes parities.  The search matches the smallest free
-    vertex first and rejects any edge that would close a cycle in either
-    colored union before the last step, where the single remaining path
-    must close into the full cycle, so every leaf reached is good.
+    The block holds the partner arrays of the good matchings, each as one
+    row of 2n + 1 bytes (byte 0 is 0), in lexicographic order, so lam has
+    at most 127 boxes.  Byte k of the bits is 1 when every edge of the
+    k-th matching mixes parities, that is when every unhatted (odd)
+    vertex has a hatted (even) partner: after the search, each odd column
+    is translated through _EVEN and the columns are ANDed as big ints.
+    The search matches the smallest free vertex first and rejects any edge
+    that would close a cycle in either colored union before the last
+    step, where the single remaining path must close into the full cycle,
+    so every leaf reached is good.
     """
     if lam.n > 127:
         raise DegreeTooLarge("degree %d exceeds 127, the largest whose"
                              " matchings fit in byte rows" % lam.n)
     graph = build_canonical(lam)
+    width = 2 * lam.n + 1
     if lam.n < 2:
-        return (bytes(graph.gray.partner),), b"\1"
-    out, bits = [], []
-    _search(bytearray(2 * lam.n + 1), list(graph.gray.partner),
-            list(graph.black.partner), list(range(1, 2 * lam.n + 1)), 1,
-            out, bits)
-    return tuple(out), bytes(bits)
+        block = bytes(graph.gray.partner)
+    else:
+        out = bytearray()
+        _search(bytearray(width), list(graph.gray.partner),
+                list(graph.black.partner), list(range(1, width)), out)
+        block = bytes(out)
+    bits = -1
+    for u in range(1, width, 2):
+        bits &= int.from_bytes(block[u::width].translate(_EVEN), "big")
+    return block, bits.to_bytes(len(block) // width, "big")
+
+
+def _rows(block, width):
+    """Split a block into its rows of width bytes."""
+    return [block[k:k + width] for k in range(0, len(block), width)]
 
 
 def good_matchings(lam):
     """All good matchings in lexicographic partner order."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     check_degree(lam.n)
-    return tuple(map(Matching._trusted, map(tuple, _store(lam)[0])))
+    return tuple(map(Matching._trusted,
+                     map(tuple, _rows(_store(lam)[0], 2 * lam.n + 1))))
 
 
 good_matchings.cache_info = _store.cache_info
@@ -236,7 +252,7 @@ def good_count(lam):
     """Number of good matchings of lam."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     check_degree(lam.n)
-    return len(_store(lam)[0])
+    return len(_store(lam)[1])
 
 
 def _reduce_graph(graph, a, v):
@@ -307,49 +323,64 @@ def reduce(graph, delta, a, v):
 
 
 @lru_cache(maxsize=None)
-def _weight_table(lam):
-    """The weight of every good matching of lam, keyed on its byte row.
+def _weights(lam):
+    """The weight of every good matching of lam, as bytes aligned with its rows.
 
     Deleting vertex 1 and its partner v lands on a good matching of the
     reduced partition, so the weight is [v unhatted] plus that matching's
     entry in the reduced table; the single good matching of (1) weighs 0.
     The rows are in lexicographic order and row[0] is 0, so the rows with
-    first partner v form one block, and the surgery runs once per block.
-    The block's rows are joined into one byte string, one translate sends
-    every old label to its new one, and each column of the reduced rows is
-    copied from its old column by one extended slice, in the new-label
-    order, giving each row's reduced row in place.
+    first partner v form one contiguous slice of the block, as many rows
+    long as column 1 holds v, and the surgery runs once per slice.  No
+    table keyed on lam's own rows is built here; ``_weight_table`` builds
+    one only when a higher degree or ``weight`` looks rows of lam up.
+    One translate sends every old label of the slice to its new one, and
+    each column of the reduced rows is copied from its old column by one
+    extended slice, in the new-label order, giving each row's reduced row
+    in place.
     """
     if not lam:
         raise EmptyPartition("the weight statistic needs at least one box")
-    rows = _store(lam)[0]
     if lam.n == 1:
-        return {rows[0]: 0}
+        return b"\0"
+    block = _store(lam)[0]
     graph = build_canonical(lam)
     width = 2 * lam.n + 1
     width2 = width - 2
-    table = {}
-    for v, block in groupby(rows, itemgetter(1)):
-        block = tuple(block)
+    firsts = block[1::width]
+    weights = bytearray()
+    start = 0
+    for v in range(2, width):
+        stop = start + firsts.count(v) * width
+        if stop == start:
+            continue
         lam2, mapping, _ = _reduce_graph(graph, 1, v)
         sub = _weight_table(lam2)
-        seg = b"".join(block).translate(
+        seg = block[start:stop].translate(
             bytes.maketrans(bytes(mapping), bytes(mapping.values())))
-        red = bytearray(len(block) * width2)
+        start = stop
+        red = bytearray(len(seg) // width * width2)
         for new, old in enumerate(mapping, 1):
             red[new::width2] = seg[old::width]
-        del seg  # at most two copies of the block are alive at once
-        red = bytes(red)
-        hit = v % 2
+        del seg  # at most two copies of the slice are alive at once
         try:
-            table.update(zip(block, [
-                hit + sub[red[k:k + width2]]
-                for k in range(0, len(red), width2)]))
+            weights.extend(map((v % 2).__add__, map(
+                sub.__getitem__, _rows(bytes(red), width2))))
         except KeyError:
             raise BrokenInvariant(
                 "%s: a matching with first partner %s reduces to no good"
                 " matching" % (lam.to_text(), _label_text(v))) from None
-    return table
+    return bytes(weights)
+
+
+@lru_cache(maxsize=None)
+def _weight_table(lam):
+    """The weight of every good matching of lam, keyed on its byte row.
+
+    Built only to look up the reduced rows of the next degree up and for
+    ``weight``; the counts and distributions read ``_weights`` directly.
+    """
+    return dict(zip(_rows(_store(lam)[0], 2 * lam.n + 1), _weights(lam)))
 
 
 def weight(lam, delta):
@@ -394,10 +425,11 @@ def enumerate_good(lam):
     """Every good matching of lam with its weight and parity."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     check_degree(lam.n)
-    table = _weight_table(lam)
-    rows, mixed = _store(lam)
-    entries = tuple(MatchingEntry(Matching._trusted(tuple(row)), table[row],
-                                  bool(bit)) for row, bit in zip(rows, mixed))
+    weights = _weights(lam)
+    block, mixed = _store(lam)
+    entries = tuple(MatchingEntry(Matching._trusted(tuple(row)), w, bool(bit))
+                    for row, w, bit in zip(_rows(block, 2 * lam.n + 1),
+                                           weights, mixed))
     if any((e.weight == 0) != e.bipartite for e in entries):
         raise BrokenInvariant("a weight of %s is 0 on a non-bipartite matching"
                               " or positive on a bipartite one" % lam.to_text())
@@ -408,20 +440,22 @@ def weight_distribution(lam):
     """Generating polynomial of the weight statistic over good matchings."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     check_degree(lam.n)
-    return _generating_poly(_weight_table(lam).values())
+    return _generating_poly(_weights(lam))
 
 
 def bipartite_count(lam):
     """Number of good matchings of lam whose edges all mix parities."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
     check_degree(lam.n)
-    return sum(_store(lam)[1])
+    return _store(lam)[1].count(1)
 
 
 def counting_recurrence_check(lam, i):
     """Audit the counting recurrences by bucketing on one root's partner.
 
-    The pivot is the first unhatted vertex of the i-th part block.  Every
+    The pivot is the first unhatted vertex of the i-th part block; its
+    column of the store block holds each matching's root partner, so a
+    bucket's size is one count over that column.  Every
     bucket of good matchings must biject with the good matchings of the
     reduced partition, bipartite ones matching only when the removed edge
     was parity-mixed, and the aggregated counts must reproduce both
@@ -434,15 +468,15 @@ def counting_recurrence_check(lam, i):
     check_degree(lam.n)
     graph = build_canonical(lam)
     root = 2 * sum(lam[:i - 1]) + 1
-    rows, mixed = _store(lam)
-    good = len(rows)
-    bipartite = sum(mixed)
+    block, mixed = _store(lam)
+    good = len(mixed)
+    bipartite = mixed.count(1)
     if lam.n == 1:
         # the root's one partner is its gray and black neighbour, so no
         # bucket reduces: the base case is one good matching, bipartite
         return good == 1 and bipartite == 1
-    buckets = Counter(map(itemgetter(root), rows))
-    bip_buckets = Counter(map(itemgetter(root), compress(rows, mixed)))
+    partners = block[root::2 * lam.n + 1]
+    bip_partners = bytes(compress(partners, mixed))
     part = lam[i - 1]
     total_check = 0
     bip_check = 0
@@ -450,30 +484,31 @@ def counting_recurrence_check(lam, i):
         if v == root:
             continue
         if v in (graph.gray.of(root), graph.black.of(root)):
-            if buckets[v]:
+            if v in partners:
                 return False
             continue
-        rows2, mixed2 = _store(_reduce_graph(graph, root, v)[0])
-        if buckets[v] != len(rows2):
+        mixed2 = _store(_reduce_graph(graph, root, v)[0])[1]
+        found = partners.count(v)
+        if found != len(mixed2):
             return False
-        want_bip = sum(mixed2) if v % 2 == 0 else 0
-        if bip_buckets[v] != want_bip:
+        found_bip = bip_partners.count(v)
+        if found_bip != (mixed2.count(1) if v % 2 == 0 else 0):
             return False
-        total_check += buckets[v]
-        bip_check += bip_buckets[v]
+        total_check += found
+        bip_check += found_bip
     if total_check != good or bip_check != bipartite:
         return False
     agg = 0
     bip_agg = 0
     if part >= 2:
-        agg += (part - 1) * len(_store(down_k(lam, part))[0])
+        agg += (part - 1) * len(_store(down_k(lam, part))[1])
     for d in range(1, part - 1):
-        rows2, mixed2 = _store(up_kl(lam, part - 1 - d, d))
-        agg += len(rows2)
-        bip_agg += sum(mixed2)
+        mixed2 = _store(up_kl(lam, part - 1 - d, d))[1]
+        agg += len(mixed2)
+        bip_agg += mixed2.count(1)
     for j, other in enumerate(lam):
         if j != i - 1:
-            rows2, mixed2 = _store(down_kl(lam, part, other))
-            agg += 2 * other * len(rows2)
-            bip_agg += other * sum(mixed2)
+            mixed2 = _store(down_kl(lam, part, other))[1]
+            agg += 2 * other * len(mixed2)
+            bip_agg += other * mixed2.count(1)
     return agg == good and bip_agg == bipartite

@@ -9,11 +9,11 @@ import sys
 import pytest
 
 import jackcc
-from jackcc import cli, matchings
+from jackcc import cli, config, matchings
 from jackcc.cli import Table, emit, main, run_suite
 from jackcc import errors
 from jackcc.errors import (
-    DegreeTooSmall, JackccError, UnknownSuite, UnsupportedFormat,
+    BadConfig, DegreeTooSmall, JackccError, UnknownSuite, UnsupportedFormat,
 )
 from jackcc.jack import JackTable, jack_table
 
@@ -45,6 +45,7 @@ def test_suites_list_no_matchings(monkeypatch):
     def listing(lam):
         raise AssertionError("a suite listed the good matchings of %s" % (lam,))
 
+    matchings._weights.cache_clear()
     matchings._weight_table.cache_clear()
     monkeypatch.setattr(matchings, "good_matchings", listing)
     monkeypatch.setattr(cli, "good_matchings", listing, raising=False)
@@ -474,6 +475,22 @@ def test_bad_max_n_environment(raw, capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: JACKCC_MAX_N")
     assert captured.err.count("\n") == 1
+
+
+def test_degree_bound_follows_the_environment(monkeypatch):
+    # the parse is cached per raw value, so each change must still be read
+    monkeypatch.setenv("JACKCC_MAX_N", "5")
+    assert config.degree_bound() == 5
+    monkeypatch.setenv("JACKCC_MAX_N", " 11 ")
+    assert config.degree_bound() == 11
+    monkeypatch.setenv("JACKCC_MAX_N", "0")
+    for _ in range(2):
+        with pytest.raises(BadConfig):
+            config.degree_bound()
+    monkeypatch.setenv("JACKCC_MAX_N", "5")
+    assert config.degree_bound() == 5
+    monkeypatch.delenv("JACKCC_MAX_N")
+    assert config.degree_bound() == config.DEFAULT_BOUND
 
 
 def _python(*args):

@@ -16,8 +16,8 @@ from jackcc.errors import (
 from jackcc.matchings import (
     Matching, bipartite_count, build_canonical, counting_recurrence_check,
     enumerate_good, good_count, good_matchings, is_bipartite, reduce,
-    union_cycle_type, weight, weight_distribution, _reduce_graph, _store,
-    _weight_table,
+    union_cycle_type, weight, weight_distribution, _reduce_graph, _rows,
+    _store, _weight_table, _weights,
 )
 from jackcc.partitions import (
     Partition, down_k, down_kl, generate_partitions, up_kl,
@@ -123,9 +123,8 @@ def test_stored_parity_bits_match_the_oracle():
     for n in range(1, 7):
         for lam in generate_partitions(n):
             goods = good_matchings(lam)
-            rows, mixed = _store(lam)
-            assert (tuple(map(tuple, rows))
-                    == tuple(m.partner for m in goods)), lam
+            block, mixed = _store(lam)
+            assert block == b"".join(bytes(m.partner) for m in goods), lam
             assert list(mixed) == [int(is_bipartite(m)) for m in goods], lam
             assert good_count(lam) == len(goods), lam
             assert bipartite_count(lam) == sum(map(is_bipartite, goods)), lam
@@ -138,7 +137,8 @@ def test_pruned_search_is_exhaustive():
 
 
 # sha256 over a store's rows, each as the bytes of its partner array, then
-# its parity bits; recorded when the rows were still tuples of ints.
+# its parity bits; recorded when the rows were still tuples of ints.  The
+# block is those rows joined, so hashing it gives the same digest.
 STORE_SHA256 = {
     "7": "3dadeb493c8dd86c5dd686fc6dbd3724b04ae8d3e9b4f28a1713f7185a73be75",
     "6,1": "ec383c7a24157be728648b34e1354e2b1ef515e7c474645175757337f85267a5",
@@ -162,10 +162,9 @@ STORE_SHA256 = {
 def test_degree_seven_stores_are_pinned():
     got = {}
     for lam in generate_partitions(7):
-        rows, mixed = _store(lam)
+        block, mixed = _store(lam)
         digest = hashlib.sha256()
-        for row in rows:
-            digest.update(bytes(row))
+        digest.update(block)
         digest.update(mixed)
         got[lam.to_text()] = digest.hexdigest()
     assert got == STORE_SHA256
@@ -177,13 +176,52 @@ def test_search_restores_its_state(parts):
     graph = build_canonical(lam)
     gray, black = list(graph.gray.partner), list(graph.black.partner)
     free = list(range(1, 2 * lam.n + 1))
-    out, bits = [], []
-    matchings._search(bytearray(2 * lam.n + 1), gray, black, free, 1,
-                      out, bits)
+    out = bytearray()
+    matchings._search(bytearray(2 * lam.n + 1), gray, black, free, out)
     assert gray == list(graph.gray.partner)
     assert black == list(graph.black.partner)
     assert free == list(range(1, 2 * lam.n + 1))
-    assert (tuple(out), bytes(bits)) == _store(lam)
+    assert out == _store(lam)[0]
+
+
+def test_store_blocks_have_one_row_per_bit():
+    # _weights slices each first partner's rows out of the block as one
+    # run, which needs column 1 non-decreasing.
+    for n in range(1, 8):
+        for lam in generate_partitions(n):
+            block, bits = _store(lam)
+            width = 2 * n + 1
+            assert len(block) == len(bits) * width, lam
+            assert not any(block[0::width]), lam
+            firsts = block[1::width]
+            assert list(firsts) == sorted(firsts), lam
+
+
+def test_degree_seven_audit_memory():
+    # A fresh child, so no store is already cached.  The stores, weights
+    # and bucket counts of every lam of n <= 7 peak near 7.5 MiB held as
+    # byte blocks, against 31 MiB with one bytes object per row and a dict
+    # of every row's weight.
+    probe = (
+        "import tracemalloc\n"
+        "from jackcc.matchings import (bipartite_count,"
+        " counting_recurrence_check, good_count, weight_distribution)\n"
+        "from jackcc.partitions import generate_partitions\n"
+        "tracemalloc.start()\n"
+        "for n in range(1, 8):\n"
+        "    for lam in generate_partitions(n):\n"
+        "        weight_distribution(lam), good_count(lam)\n"
+        "        bipartite_count(lam)\n"
+        "        for i in range(1, len(lam) + 1):\n"
+        "            assert counting_recurrence_check(lam, i)\n"
+        "print(tracemalloc.get_traced_memory()[1])\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(matchings.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("JACKCC_MAX_N", None)
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 12 * 2**20
 
 
 def test_store_refuses_labels_beyond_a_byte():
@@ -379,11 +417,11 @@ WEIGHT_TABLE_SHA256 = {
 def test_degree_seven_weight_tables_are_pinned():
     got = {}
     for lam in generate_partitions(7):
-        table = _weight_table(lam)
+        rows = _rows(_store(lam)[0], 2 * lam.n + 1)
         digest = hashlib.sha256()
-        for row in _store(lam)[0]:
+        for row, w in zip(rows, _weights(lam)):
             digest.update(row)
-            digest.update(bytes([table[row]]))
+            digest.update(bytes([w]))
         got[lam.to_text()] = digest.hexdigest()
     assert got == WEIGHT_TABLE_SHA256
 
@@ -423,10 +461,10 @@ def test_broken_invariants_raise_typed_errors(monkeypatch):
         patch.setattr(matchings, "union_cycle_type", lambda m1, m2: P([1]))
         with pytest.raises(BrokenInvariant):
             build_canonical(P([2, 1]))
-    # Warm the weight table first, so only enumerate_good reads the flipped bits.
-    _weight_table(P([3]))
-    partners, mixed = _store(P([3]))
-    flipped = (partners, bytes(1 - bit for bit in mixed))
+    # Warm the weights first, so only enumerate_good reads the flipped bits.
+    _weights(P([3]))
+    block, mixed = _store(P([3]))
+    flipped = (block, bytes(1 - bit for bit in mixed))
     monkeypatch.setattr(matchings, "_store", lambda lam: flipped)
     with pytest.raises(BrokenInvariant):
         enumerate_good(P([3]))
@@ -435,7 +473,7 @@ def test_broken_invariants_raise_typed_errors(monkeypatch):
 def test_missing_reduced_row_is_a_broken_invariant(monkeypatch):
     # Every reduced table comes back empty, so the first row of (3) finds
     # no entry for its reduction.
-    build = matchings._weight_table.__wrapped__
+    build = matchings._weights.__wrapped__
     monkeypatch.setattr(matchings, "_weight_table", lambda lam: {})
     with pytest.raises(BrokenInvariant, match="^3: .* first partner 2 "):
         build(P([3]))
@@ -458,7 +496,7 @@ def test_missing_row_inside_a_block_is_a_broken_invariant(monkeypatch):
             del table[missing]
         return table
 
-    build = matchings._weight_table.__wrapped__
+    build = matchings._weights.__wrapped__
     monkeypatch.setattr(matchings, "_weight_table", tables)
     with pytest.raises(BrokenInvariant, match=r"^3: .* first partner 2\^ "):
         build(lam)
