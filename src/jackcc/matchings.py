@@ -148,8 +148,17 @@ class LambdaGraph(NamedTuple):
 
 
 def build_canonical(lam):
-    """The standard labeling: part blocks take consecutive labels."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    """The standard labeling: part blocks take consecutive labels.
+
+    lam may be any iterable of parts; it is normalised to a ``Partition``,
+    and each partition's graph is built and checked once and then shared
+    (the graph is immutable).
+    """
+    return _canonical(lam if isinstance(lam, Partition) else Partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _canonical(lam):
     n = lam.n
     gray = Matching(((2 * k - 1, 2 * k) for k in range(1, n + 1)), 2 * n)
     black_pairs = []
@@ -170,20 +179,50 @@ def build_canonical(lam):
 def _search(partner, gend, bend, free, out):
     """Pair the smallest free vertex a with each allowed partner in turn.
 
-    free lists the unmatched vertices in increasing order, at least 4;
-    gend and bend map each path end to the other end of its gray and black
-    path.  Each leaf writes every vertex's partner on its way down, so no
-    entry of partner is reset.  With four free, the two left after a's
-    pair close the last path, so they pair without recursing and the leaf
-    is appended in place to the bytearray out.
+    free lists the unmatched vertices in increasing order, an even number
+    of at least 4; gend and bend map each path end to the other end of its
+    gray and black path.  Each leaf writes every vertex's partner on its
+    way down, so no entry of partner is reset, and is appended in place to
+    the bytearray out.  The recursion stops at six free vertices.  There,
+    for each allowed v, the ends of the next vertex b's paths after a's
+    pair are worked out from gend and bend without writing to them, and
+    b's three candidates are written out as at a four-free node: once b
+    is paired, the two vertices left close the last path, so they pair
+    without a check.
     """
     a = free[0]
     ga, ba = gend[a], bend[a]
     if len(free) == 4:
         _, b, c, d = free
-        for v, x, y in ((b, c, d), (c, b, d), (d, b, c)):
-            if v != ga and v != ba:
-                partner[a], partner[v], partner[x], partner[y] = v, a, y, x
+        if b != ga and b != ba:
+            partner[a], partner[b], partner[c], partner[d] = b, a, d, c
+            out += partner
+        if c != ga and c != ba:
+            partner[a], partner[c], partner[b], partner[d] = c, a, d, b
+            out += partner
+        if d != ga and d != ba:
+            partner[a], partner[d], partner[b], partner[c] = d, a, c, b
+            out += partner
+        return
+    if len(free) == 6:
+        _, p, q, r, s, t = free
+        for v, b, c, d, e in ((p, q, r, s, t), (q, p, r, s, t),
+                              (r, p, q, s, t), (s, p, q, r, t),
+                              (t, p, q, r, s)):
+            if v == ga or v == ba:
+                continue
+            gv, bv = gend[v], bend[v]
+            g2 = gv if b == ga else ga if b == gv else gend[b]
+            b2 = bv if b == ba else ba if b == bv else bend[b]
+            partner[a], partner[v] = v, a
+            if c != g2 and c != b2:
+                partner[b], partner[c], partner[d], partner[e] = c, b, e, d
+                out += partner
+            if d != g2 and d != b2:
+                partner[b], partner[d], partner[c], partner[e] = d, b, e, c
+                out += partner
+            if e != g2 and e != b2:
+                partner[b], partner[e], partner[c], partner[d] = e, b, d, c
                 out += partner
         return
     for i in range(1, len(free)):
@@ -255,16 +294,13 @@ def good_count(lam):
     return len(_store(lam)[1])
 
 
-def _reduce_graph(graph, a, v):
-    """Delete a and v, rejoin their neighbours and relabel what is left.
+def _surgery(graph, a, v):
+    """Delete a and v, rejoin their neighbours and walk what is left.
 
-    Returns the reduced partition, the relabeling and the case tag: 1 when
-    v shares a's cycle unhatted, 2 when it shares it hatted, 3 across
-    cycles.  The surviving cycles go longest first, ties by smallest
-    vertex, and each is read gray edge first from its smallest vertex, the
-    smallest unhatted one when parities must survive; the relabeling's
-    insertion order is the new-label order.  It depends only on the
-    deleted pair, so every matching that pairs a with v shares it.
+    Returns the reduced partition, the surviving cycles and the case tag:
+    1 when v shares a's cycle unhatted, 2 when it shares it hatted, 3
+    across cycles.  The cycles come in order of their smallest vertex,
+    each as its vertices read gray edge first from that vertex.
     """
     gray, black = list(graph.gray.partner), list(graph.black.partner)
     if gray[a] == v or black[a] == v:
@@ -291,17 +327,31 @@ def _reduce_graph(graph, a, v):
             cycle += (cur, twin)
             cur = black[twin]
         cycles.append(cycle)
+    return Partition([len(cycle) // 2 for cycle in cycles]), cycles, tag
+
+
+def _reduce_graph(graph, a, v):
+    """The surgery of a and v, with the relabeling of what is left.
+
+    Returns the reduced partition, the relabeling and the case tag of
+    ``_surgery``.  The surviving cycles go longest first, ties by smallest
+    vertex, and each is read gray edge first from its smallest vertex, the
+    smallest unhatted one when parities must survive; the relabeling's
+    insertion order is the new-label order.  It depends only on the
+    deleted pair, so every matching that pairs a with v shares it.
+    """
+    lam2, cycles, tag = _surgery(graph, a, v)
     cycles.sort(key=len, reverse=True)
     mapping = {}
     for cycle in cycles:
-        start = min(w for w in cycle if w % 2) if (a ^ v) & 1 else cycle[0]
-        cur = start
-        while cur not in mapping:
-            twin = gray[cur]
-            mapping[cur] = len(mapping) + 1
-            mapping[twin] = len(mapping) + 1
-            cur = black[twin]
-    return Partition([len(cycle) // 2 for cycle in cycles]), mapping, tag
+        if (a ^ v) & 1 and cycle[0] % 2 == 0:
+            # every edge left mixes parities, so the unhatted vertices sit
+            # at odd places, and a gray-first walk from one runs backwards
+            i = cycle.index(min(cycle[1::2]))
+            cycle = cycle[i::-1] + cycle[:i:-1]
+        for w in cycle:
+            mapping[w] = len(mapping) + 1
+    return lam2, mapping, tag
 
 
 def reduce(graph, delta, a, v):
@@ -487,7 +537,7 @@ def counting_recurrence_check(lam, i):
             if v in partners:
                 return False
             continue
-        mixed2 = _store(_reduce_graph(graph, root, v)[0])[1]
+        mixed2 = _store(_surgery(graph, root, v)[0])[1]
         found = partners.count(v)
         if found != len(mixed2):
             return False

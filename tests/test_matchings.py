@@ -17,7 +17,7 @@ from jackcc.matchings import (
     Matching, bipartite_count, build_canonical, counting_recurrence_check,
     enumerate_good, good_count, good_matchings, is_bipartite, reduce,
     union_cycle_type, weight, weight_distribution, _reduce_graph, _rows,
-    _store, _weight_table, _weights,
+    _store, _surgery, _weight_table, _weights,
 )
 from jackcc.partitions import (
     Partition, down_k, down_kl, generate_partitions, up_kl,
@@ -91,6 +91,16 @@ def test_canonical_graphs():
     assert union_cycle_type(g.gray, g.black) == (3, 2, 2, 1)
     hexagon = build_canonical(P([3]))
     assert hexagon.black.pairs() == ((1, 6), (2, 3), (4, 5))
+
+
+def test_canonical_graphs_are_built_once():
+    graph = build_canonical(P([3, 1, 1]))
+    assert build_canonical([1, 3, 1]) is graph
+    assert build_canonical((3, 1, 1)) is graph
+    assert build_canonical(P([1, 1, 3])) is graph
+    empty = build_canonical([])
+    assert empty.lam == P() and empty.gray.size == empty.black.size == 0
+    assert build_canonical(()) is empty
 
 
 def test_union_cycle_type():
@@ -170,8 +180,12 @@ def test_degree_seven_stores_are_pinned():
     assert got == STORE_SHA256
 
 
-@pytest.mark.parametrize("parts", [(4, 3), (3, 2, 2)])
+@pytest.mark.parametrize("parts",
+                         [(4, 3), (3, 2, 2), (1, 1), (2, 1), (3,)])
 def test_search_restores_its_state(parts):
+    # (1,1) starts at a four-free node and (2,1), (3) at a six-free node,
+    # the two levels written out without recursing; gend and bend (gray,
+    # black) must come back untouched, free too.
     lam = P(list(parts))
     graph = build_canonical(lam)
     gray, black = list(graph.gray.partner), list(graph.black.partner)
@@ -324,7 +338,7 @@ def test_surgery_partitions_and_tags_are_pinned():
                 got = Counter()
                 for v in range(1, 2 * n + 1):
                     if v not in near:
-                        lam2, _, tag = _reduce_graph(graph, root, v)
+                        lam2, _, tag = _surgery(graph, root, v)
                         got[tag, lam2] += 1
                 want = Counter([(1, down_k(lam, k))] * (k - 1))
                 want.update((2, up_kl(lam, k - 1 - d, d))
@@ -457,10 +471,16 @@ def test_zero_weight_iff_bipartite():
 
 
 def test_broken_invariants_raise_typed_errors(monkeypatch):
+    # The (2,1) graph may already be cached, so the check is run through
+    # the uncached builder; nothing built under the patch is cached.
+    cached = matchings._canonical.cache_info().currsize
     with monkeypatch.context() as patch:
         patch.setattr(matchings, "union_cycle_type", lambda m1, m2: P([1]))
         with pytest.raises(BrokenInvariant):
-            build_canonical(P([2, 1]))
+            matchings._canonical.__wrapped__(P([2, 1]))
+    assert matchings._canonical.cache_info().currsize == cached
+    graph = build_canonical(P([2, 1]))
+    assert union_cycle_type(graph.gray, graph.black) == (2, 1)
     # Warm the weights first, so only enumerate_good reads the flipped bits.
     _weights(P([3]))
     block, mixed = _store(P([3]))
