@@ -438,6 +438,11 @@ class RatFunc:
         return "RatFunc(%s)" % self.to_text()
 
 
+def _poly_json(p):
+    """RatFunc.to_json of the polynomial p: its denominator is the constant 1."""
+    return {"num": p.to_json(), "den": [["1", "1"]]}
+
+
 def _ratfunc(num, den):
     """RatFunc over a num and den already coprime, den monic and 1 when num is 0."""
     r = object.__new__(RatFunc)

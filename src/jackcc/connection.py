@@ -6,6 +6,9 @@ evaluates the one-step part-surgery recurrence for the (n),(n) case.  The
 operator route reads the coefficient off an iterated commutator tower
 applied to p_1/alpha.  Agreement of the three is the main correctness
 argument of the package and is what the verification suites exercise.
+
+Each public function checks its input once, before any cache; the routes
+then call each other's cached kernels on the checked values.
 """
 
 import math
@@ -220,7 +223,7 @@ def pivot_values(lam):
     if lam.n < 2:
         raise EmptyPartition("the bracket needs two boxes, got %d" % lam.n)
     check_degree(lam.n)
-    return [_bracket(lam, pos, a_nn_recurrence)
+    return [_bracket(lam, pos, _a_nn)
             for pos, part in enumerate(lam) if not pos or lam[pos - 1] != part]
 
 
@@ -244,7 +247,8 @@ def thm_rec_sides(lam, nu):
     The left side sums over the part values i-1 present in nu, growing one
     of them; the right side applies the part-surgery bracket to lam inside
     a coefficient with lower indices (n) and nu.  Every coefficient read is
-    a polynomial, and one that is not raises NotPolynomial.
+    a polynomial, and one that is not raises NotPolynomial.  The Cauchy
+    values are read from _cauchy_cached under a_cauchy's own keys.
     """
     lam, nu = _as_partition(lam), _as_partition(nu)
     if lam.n != nu.n + 1:
@@ -253,16 +257,19 @@ def thm_rec_sides(lam, nu):
     n = nu.n
     if n == 0:
         raise EmptyPartition("the raising identity needs nu of weight at least 1")
+    check_degree(lam.n)
     mults = nu.multiplicities()
+    full = Partition([n + 1])
     lhs = []
     for value in mults:
         i = value + 1
         factor = i * (mults.get(i, 0) + 1)
-        grown = a_cauchy(lam, [Partition([n + 1]), up_k(nu, value)])
+        grown = _cauchy_cached(lam, (full, up_k(nu, value)))
         _addmul(lhs, grown.as_poly().coeffs, factor)
+    others = (Partition([n]), nu)
 
     def coefficient_of(rho):
-        return a_cauchy(rho, [Partition([n]), nu]).as_poly()
+        return _cauchy_cached(rho, others).as_poly()
 
     rhs = []
     for pos, part in enumerate(lam):
@@ -297,8 +304,9 @@ def _tower_with_D(l, r, n):
     return apply_D(_tower_with_D(l, r - 1, n))
 
 
-def a_lr(lam, l, r=0):
-    """Operator-route coefficient for l full cycles and r near-cycles."""
+def _readout(lam, l, r):
+    """The checked lam, its degree and the tower's coefficient of p_lam
+    for l full cycles and r near-cycles."""
     if l < 0 or r < 0:
         raise NegativeOrder("need l >= 0 and r >= 0, got l=%d, r=%d" % (l, r))
     lam = _as_partition(lam)
@@ -308,7 +316,12 @@ def a_lr(lam, l, r=0):
     check_degree(n)
     for stage in range(r):
         _tower_with_D(l, stage, n)
-    readout = _tower_with_D(l, r, n).coeff(lam)
+    return lam, n, _tower_with_D(l, r, n).coeff(lam)
+
+
+def a_lr(lam, l, r=0):
+    """Operator-route coefficient for l full cycles and r near-cycles."""
+    lam, n, readout = _readout(lam, l, r)
     z = z_aut_class(lam)[0]
     # readout * z alpha^len / (n! alpha^n), with alpha^len cancelled first
     return _quotient([z * c for c in readout.coeffs],
@@ -320,21 +333,18 @@ def generator_properties(lam, l, r):
 
     The checked object is the class-size multiple of a_lr: an integer
     polynomial of degree at most (n-1)(l-1)+r whose coefficient sequence
-    is (anti)palindromic around half of (l-1)(n-1)+r+len(lam)-1.
+    is (anti)palindromic around half of (l-1)(n-1)+r+len(lam)-1.  As
+    z_lam times the class size is n!, it is the readout over a^(n-len(lam)).
     """
-    lam = _as_partition(lam)
-    n = lam.n
-    class_size = math.factorial(n) // z_aut_class(lam)[0]
-    value = a_lr(lam, l, r) * class_size
-    if not value.is_polynomial:
+    lam, n, readout = _readout(_as_partition(lam), l, r)
+    cs = readout.coeffs
+    low = n - len(lam)
+    if any(cs[:low]) or any(type(c) is not int for c in cs):
         return False
-    poly = value.as_poly()
-    if any(c.denominator != 1 for c in poly.coeffs):
-        return False
-    bound = (n - 1) * (l - 1) + r
-    if poly.degree > bound:
+    cs = list(cs[low:])
+    if len(cs) - 1 > (n - 1) * (l - 1) + r:
         return False
     star = (l - 1) * (n - 1) + r + len(lam) - 1
     sign = -1 if star % 2 else 1
-    return all(poly.coeff(i) == sign * poly.coeff(star - i)
-               for i in range(star + 1))
+    cs += [0] * (star + 1 - len(cs))
+    return cs == [sign * c for c in reversed(cs)]

@@ -1,7 +1,9 @@
 """Integer partitions, their box statistics, and the part modification moves.
 
 Partitions are stored as weakly decreasing tuples of positive integers and
-are used as dictionary keys everywhere else in the package.
+are used as dictionary keys everywhere else in the package.  The moves
+check only what they add: from a Partition, moved by int parts, they sort
+the result without Partition's checks; any other input goes through them.
 """
 
 import math
@@ -139,26 +141,33 @@ def _remove(parts, value):
     return out
 
 
+def _moved(out):
+    """out, positive int parts, as a Partition without Partition's checks."""
+    out.sort(reverse=True)
+    return tuple.__new__(Partition, out)
+
+
 def down_k(lam, k):
     """Replace one part k by k-1, dropping it entirely when k is 1."""
     out = _remove(lam, k)
     if k > 1:
         out.append(k - 1)
-    return Partition(out)
+    return _moved(out) if type(lam) is Partition and type(k) is int else Partition(out)
 
 
 def up_k(lam, k):
     """Replace one part k by k+1."""
     out = _remove(lam, k)
     out.append(k + 1)
-    return Partition(out)
+    return _moved(out) if type(lam) is Partition and type(k) is int else Partition(out)
 
 
 def down_kl(lam, k, l):
     """Merge parts k and l into a single part k+l-1."""
     out = _remove(_remove(lam, k), l)
     out.append(k + l - 1)
-    return Partition(out)
+    return (_moved(out) if type(lam) is Partition and type(k) is type(l) is int
+            else Partition(out))
 
 
 def up_kl(lam, k, l):
@@ -167,7 +176,8 @@ def up_kl(lam, k, l):
         raise MissingPart("split parts must be positive, got %d and %d" % (k, l))
     out = _remove(lam, k + l + 1)
     out.extend((k, l))
-    return Partition(out)
+    return (_moved(out) if type(lam) is Partition and type(k) is type(l) is int
+            else Partition(out))
 
 
 def hooks(lam):

@@ -7,12 +7,14 @@ NotPolynomial.  The differential operators rewrite partition keys directly:
 d/dp_i applied to a monomial with m_i parts of size i contributes the
 factor m_i and removes one part, so every operator below reduces to
 integer multiplicity bookkeeping on the key, done for D once per key.
+The constructor checks every key and coefficient; the operators, whose
+keys are Partitions of the right degree already, build through _vector.
 """
 
 from functools import lru_cache
 from math import comb
 
-from .algebra import AlphaPoly, RatFunc, _addmul, _poly, _require_poly
+from .algebra import AlphaPoly, RatFunc, _addmul, _poly, _poly_json, _require_poly
 from .config import check_degree
 from .errors import DegreeMismatch, NegativeOrder
 from .partitions import Partition, generate_partitions
@@ -74,7 +76,7 @@ class PSumVector:
         out = dict(self.terms)
         for mu, c in other.terms.items():
             out[mu] = out.get(mu, _ZERO) + c
-        return PSumVector(self.degree, out)
+        return _vector(self.degree, out)
 
     def __sub__(self, other):
         if type(other) is not PSumVector:
@@ -83,8 +85,7 @@ class PSumVector:
 
     def scale(self, c):
         c = _require_poly(c)
-        return PSumVector(
-            self.degree, {mu: v * c for mu, v in self.terms.items()})
+        return _vector(self.degree, {mu: v * c for mu, v in self.terms.items()})
 
     def __eq__(self, other):
         return (type(other) is PSumVector
@@ -102,7 +103,7 @@ class PSumVector:
 
     def to_json(self):
         return {"degree": self.degree,
-                "terms": [{"mu": mu.to_text(), "coeff": RatFunc(c).to_json()}
+                "terms": [{"mu": mu.to_text(), "coeff": _poly_json(c)}
                           for mu, c in self.items()]}
 
     @classmethod
@@ -110,6 +111,15 @@ class PSumVector:
         return cls(data["degree"],
                    [(Partition.from_text(t["mu"]), RatFunc.from_json(t["coeff"]))
                     for t in data["terms"]])
+
+
+def _vector(degree, terms):
+    """A PSumVector over terms whose keys are Partitions of the degree and
+    whose values are AlphaPolys, zeros dropped, without the checks."""
+    v = object.__new__(PSumVector)
+    v.degree = degree
+    v.terms = {mu: c for mu, c in terms.items() if c.coeffs}
+    return v
 
 
 def psum_unit(mu):
@@ -167,15 +177,13 @@ def apply_D(v):
                 _addmul(acc, cs, A, 1)
             if B:
                 _addmul(acc, cs, B)
-    return PSumVector(v.degree, {nu: _poly(cs) for nu, cs in out.items()})
+    return _vector(v.degree, {nu: _poly(cs) for nu, cs in out.items()})
 
 
 def multiply_p1(v):
-    out = {}
-    for mu, c in v.terms.items():
-        nu = _replace(mu, (), (1,))
-        out[nu] = out.get(nu, _ZERO) + c
-    return PSumVector(v.degree + 1, out)
+    # a part 1 appended to a Partition keeps it weakly decreasing
+    return _vector(v.degree + 1, {tuple.__new__(Partition, mu + (1,)): c
+                                  for mu, c in v.terms.items()})
 
 
 def apply_alpha_Delta(l, v):

@@ -1,14 +1,19 @@
-"""The part-surgery bracket on AlphaPoly ring operations, kept for the tests
-as an independent oracle.
+"""Ring-operation forms of two connection routines, kept for the tests as
+independent oracles.
 
 The package sums the bracket's terms on one integer coefficient list with
-shifted adds.  The routine below forms each term as an AlphaPoly product
-with alpha - 1 or alpha and adds the products, so the tests can check the
-list form against it.
+shifted adds.  bracket below forms each term as an AlphaPoly product with
+alpha - 1 or alpha and adds the products, so the tests can check the list
+form against it.  The package reads generator_properties off the tower's
+coefficient list; generator_properties below forms a_lr times the class
+size as a RatFunc and checks that.
 """
 
+import math
+
 from jackcc.algebra import ALPHA
-from jackcc.partitions import down_k, down_kl, up_kl
+from jackcc.connection import a_lr
+from jackcc.partitions import Partition, down_k, down_kl, up_kl, z_aut_class
 
 
 def bracket(lam, pos, coefficient_of):
@@ -29,3 +34,23 @@ def bracket(lam, pos, coefficient_of):
             term = coefficient_of(down_kl(lam, k, part)) * (ALPHA * part)
             total = term if total is None else total + term
     return total
+
+
+def generator_properties(lam, l, r):
+    """Degree bound, integrality and (anti)palindromic symmetry of
+    a_lr(lam, l, r) times the class size of lam, as a RatFunc."""
+    lam = Partition(lam)
+    n = lam.n
+    class_size = math.factorial(n) // z_aut_class(lam)[0]
+    value = a_lr(lam, l, r) * class_size
+    if not value.is_polynomial:
+        return False
+    poly = value.as_poly()
+    if any(c.denominator != 1 for c in poly.coeffs):
+        return False
+    if poly.degree > (n - 1) * (l - 1) + r:
+        return False
+    star = (l - 1) * (n - 1) + r + len(lam) - 1
+    sign = -1 if star % 2 else 1
+    return all(poly.coeff(i) == sign * poly.coeff(star - i)
+               for i in range(star + 1))

@@ -228,10 +228,15 @@ def test_thm_rec_report_shows_the_values(capsys, monkeypatch):
     argv = ["verify", "--suite", "thm-rec", "--max-n", "4", "--format", "json"]
     code, plain = run(capsys, argv)
     assert code == 0
-    cauchy = jackcc.connection.a_cauchy
-    monkeypatch.setattr(jackcc.connection, "a_cauchy",
+    cauchy = jackcc.connection._cauchy_cached
+    cauchy.cache_clear()
+    monkeypatch.setattr(jackcc.connection, "_cauchy_cached",
                         lambda lam, others: cauchy(lam, others) * 2)
-    code, doubled = run(capsys, argv)
+    try:
+        code, doubled = run(capsys, argv)
+    finally:
+        monkeypatch.undo()
+        cauchy.cache_clear()
     assert code == 0
     assert json.loads(doubled)["passed"]
     assert doubled != plain

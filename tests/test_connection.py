@@ -15,14 +15,17 @@ import jackcc.jack
 import jackcc.psum
 from algebra_oracle import poly_gcd
 from connection_oracle import bracket as oracle_bracket
+from connection_oracle import generator_properties as oracle_generator_properties
 from jackcc.algebra import ALPHA, ONE, AlphaPoly, RatFunc, _unpack, _width, substitute_beta
 from jackcc.connection import (
-    CoeffResult, a_cauchy, a_lr, a_nn_recurrence, generator_properties, thm_rec_sides,
-    verify_i_independence, verify_thm_rec,
+    CoeffResult, a_cauchy, a_lr, a_nn_recurrence, generator_properties, pivot_values,
+    thm_rec_sides, verify_i_independence, verify_thm_rec,
 )
 from jackcc.errors import DegreeMismatch, EmptyPartition, NotPolynomial
 from jackcc.jack import JackTable, jack_table
-from jackcc.partitions import Partition, generate_partitions, hooks, up_k, z_aut_class
+from jackcc.partitions import (
+    Partition, down_k, down_kl, generate_partitions, hooks, up_k, z_aut_class,
+)
 from jackcc.psum import PSumVector, apply_alpha_Delta, psum_unit
 
 P = Partition
@@ -145,10 +148,15 @@ def test_thm_rec_hand_case():
 
 
 def test_thm_rec_refuses_a_value_with_a_denominator(monkeypatch):
-    monkeypatch.setattr(jackcc.connection, "a_cauchy",
+    jackcc.connection._cauchy_cached.cache_clear()
+    monkeypatch.setattr(jackcc.connection, "_cauchy_cached",
                         lambda lam, others: RatFunc(1, ALPHA))
-    with pytest.raises(NotPolynomial):
-        thm_rec_sides(P([2]), P([1]))
+    try:
+        with pytest.raises(NotPolynomial):
+            thm_rec_sides(P([2]), P([1]))
+    finally:
+        monkeypatch.undo()
+        jackcc.connection._cauchy_cached.cache_clear()
 
 
 def test_thm_rec_sweep():
@@ -317,6 +325,49 @@ def test_generator_properties_sweep_small():
         for l in (2, 3):
             for r in (0, 1, 2):
                 assert generator_properties(lam, l, r), (lam, l, r)
+
+
+def test_generator_properties_matches_the_ratfunc_oracle():
+    """The verdict read off the tower's coefficient list equals the one of
+    a_lr times the class size as a RatFunc, for every lam of n <= 7,
+    l in 0..4 and r in 0..3."""
+    cases = [(lam, l, r) for n in range(1, 8) for lam in generate_partitions(n)
+             for l in range(5) for r in range(4)]
+    verdicts = [generator_properties(*case) for case in cases]
+    assert verdicts == [oracle_generator_properties(*case) for case in cases]
+    assert (len(verdicts), verdicts.count(False)) == (880, 158)
+
+
+def test_connection_checks_the_degree_once_per_call(monkeypatch):
+    """Each public route checks the bound once, not once per coefficient
+    it reads; a second, warm call checks it once as well."""
+    calls = []
+    check = jackcc.connection.check_degree
+    monkeypatch.setattr(jackcc.connection, "check_degree",
+                        lambda n: calls.append(n) or check(n))
+    for call, args in ((verify_thm_rec, (P([3, 2, 1]), P([2, 2, 1]))),
+                       (pivot_values, (P([3, 2, 1]),)),
+                       (generator_properties, (P([3, 1, 1]), 3, 2))):
+        for _ in range(2):
+            calls.clear()
+            call(*args)
+            assert len(calls) == 1, call.__name__
+
+
+def test_thm_rec_reads_the_entries_a_cauchy_reads():
+    """After the identity, a_cauchy on its coefficients, with the indices
+    in another order and as lists, hits the cache and adds no entry."""
+    lam, nu = P([3, 2, 1]), P([2, 2, 1])
+    assert verify_thm_rec(lam, nu)
+    info = jackcc.connection._cauchy_cached.cache_info
+    before = info()
+    queries = [(lam, [up_k(nu, 2), P([6])]), (lam, [up_k(nu, 1), P([6])]),
+               (down_k(lam, 3), [nu, P([5])]), (down_kl(lam, 3, 1), [nu, P([5])])]
+    for lam1, others in queries:
+        a_cauchy(list(reversed(lam1)), [list(reversed(p)) for p in others])
+    after = info()
+    assert after.currsize == before.currsize
+    assert after.hits == before.hits + len(queries)
 
 
 def test_coeff_result_wrap():

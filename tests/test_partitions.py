@@ -121,6 +121,29 @@ def test_modify_weight_changes():
                 assert down_kl(lam, k, l).n == n - 1
 
 
+def test_moves_from_a_partition_equal_the_checked_constructor(monkeypatch):
+    """From a Partition the moves skip Partition's checks; every result
+    equals the same move on a plain list, which goes through them."""
+    monkeypatch.setenv("JACKCC_MAX_N", "10")
+    for n in range(1, 11):
+        for lam in generate_partitions(n):
+            parts = set(lam)
+            moves = [(down_k, (k,)) for k in parts] + [(up_k, (k,)) for k in parts]
+            moves += [(up_kl, (a, k - 1 - a)) for k in parts for a in range(1, k - 1)]
+            moves += [(down_kl, (k, l)) for k in parts for l in parts
+                      if k != l or lam.count(k) > 1]
+            for move, args in moves:
+                fast = move(lam, *args)
+                assert type(fast) is Partition
+                assert fast == move(list(lam), *args) == Partition(list(fast))
+    bad = ((down_k, [3, 1.5], (3,)), (up_k, [2, 0], (2,)),
+           (down_kl, [2, 2, -1], (2, 2)), (up_kl, [4, 0.5], (1, 2)),
+           (up_k, Partition([2, 1]), (2.0,)), (down_kl, Partition([2, 1]), (2.0, 1)))
+    for move, lam, args in bad:
+        with pytest.raises(MissingPart):
+            move(lam, *args)
+
+
 def test_hooks_examples():
     h, h2, j = hooks(Partition([1]))
     assert (h, h2, j) == (AlphaPoly(1), ALPHA, ALPHA)
