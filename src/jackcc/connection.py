@@ -245,8 +245,9 @@ def thm_rec_sides(lam, nu):
     """Both sides of the mixed identity tying degree n+1 coefficients to degree n.
 
     The left side sums over the part values i-1 present in nu, growing one
-    of them; the right side applies the part-surgery bracket to lam inside
-    a coefficient with lower indices (n) and nu.  Every coefficient read is
+    of them; the right side sums the part-surgery bracket of lam over its
+    pivots, weighted by the pivot's part, inside a coefficient with lower
+    indices (n) and nu.  Every coefficient read is
     a polynomial, and one that is not raises NotPolynomial.  The Cauchy
     values are read from _cauchy_cached under a_cauchy's own keys.
     """
@@ -271,9 +272,11 @@ def thm_rec_sides(lam, nu):
     def coefficient_of(rho):
         return _cauchy_cached(rho, others).as_poly()
 
+    # the bracket depends on the pivot's value only, so each distinct part
+    # is bracketed once, weighted by the part times its multiplicity
     rhs = []
-    for pos, part in enumerate(lam):
-        _addmul(rhs, _bracket(lam, pos, coefficient_of).coeffs, part)
+    for part, m in lam.multiplicities().items():
+        _addmul(rhs, _bracket(lam, lam.index(part), coefficient_of).coeffs, part * m)
     return _poly(lhs), _poly(rhs)
 
 

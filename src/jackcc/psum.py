@@ -9,19 +9,29 @@ factor m_i and removes one part, so every operator below reduces to
 integer multiplicity bookkeeping on the key, done for D once per key.
 The constructor checks every key and coefficient; the operators, whose
 keys are Partitions of the right degree already, build through _vector.
+
+The operators run packed, like the Cauchy sum (Kronecker substitution;
+see algebra): each coefficient is evaluated once at alpha = 2^W, each
+entry of D's row becomes one big-int multiply-add, and each result is
+unpacked once.  W is proven per call from the vector's own norm and a
+closed-form bound on D's rows, so no width is fixed and no degree bound
+is read.  The bracket tower's operator runs in Horner order in D.
 """
 
+import math
+from fractions import Fraction
 from functools import lru_cache
-from math import comb
 
-from .algebra import AlphaPoly, RatFunc, _addmul, _poly, _poly_json, _require_poly
+from .algebra import (
+    AlphaPoly, RatFunc, _pack, _poly, _poly_json, _require_poly, _unpack, _width,
+)
 from .config import check_degree
 from .errors import DegreeMismatch, NegativeOrder
 from .partitions import Partition, generate_partitions
 
 __all__ = [
     "PSumVector", "psum_unit",
-    "apply_D", "multiply_p1", "apply_alpha_Delta",
+    "apply_D", "apply_alpha_Delta",
     "p_to_m", "transition_matrix",
 ]
 
@@ -160,30 +170,66 @@ def _D_row(mu):
     return tuple(row)
 
 
+def _row_bound(n):
+    """The largest sum of |A| + |B| over the row of any mu of degree n.
+
+    The diagonal gives sum_i mu_i(mu_i - 1), the merges
+    (n^2 - sum_i mu_i^2)/2 and the splits sum_i mu_i(mu_i - 1)/2, so a
+    row sums to sum_i mu_i^2 + n(n - 3)/2, largest at mu = (n).
+    """
+    return 3 * n * (n - 1) // 2
+
+
+def _packed(v, growth):
+    """v's coefficients cleared by the lcm L of their denominators and
+    packed at a = 2^W, W the _width of growth * ||L v||_1: the dict
+    {mu: packed}, W and L."""
+    L = math.lcm(*{c.denominator for p in v.terms.values() for c in p.coeffs
+                   if type(c) is not int})
+    lists = [(mu, [(c * L).numerator for c in p.coeffs]) for mu, p in v.terms.items()]
+    W = _width(growth * sum(sum(map(abs, cs)) for _, cs in lists))
+    return {mu: _pack(cs, W) for mu, cs in lists}, W, L
+
+
+def _unpacked(degree, packed, W, L):
+    """The vector of the packed coefficients, each divided by L."""
+    out = {}
+    for nu, x in packed.items():
+        cs = _unpack(x, W)
+        if L != 1:
+            cs = [c // L if c % L == 0 else Fraction(c, L) for c in cs]
+        out[nu] = _poly(cs)
+    return _vector(degree, out)
+
+
+def _D_pass(packed, W):
+    """D on packed coefficients at a = 2^W: each row entry (nu, A, B) of
+    mu adds c * (A * 2^W + B) into nu's integer, one multiply-add."""
+    out = {}
+    get = out.get
+    for mu, c in packed.items():
+        for nu, A, B in _D_row(mu):
+            out[nu] = get(nu, 0) + c * ((A << W) + B)
+    return out
+
+
 def apply_D(v):
     """The Laplace-Beltrami operator D = (alpha-1)N + alpha U + S, in one pass.
 
     N = 1/2 sum_i i(i-1) p_i d/dp_i keeps p_mu; U = 1/2 sum_{i,j} ij
     p_{i+j} d/dp_i d/dp_j merges two parts of mu; S = 1/2 sum_{i,j} (i+j)
-    p_i p_j d/dp_{i+j} splits one part of mu in two.  Each p_mu's row,
-    cached per mu, is added into coefficient lists, one polynomial per nu.
+    p_i p_j d/dp_{i+j} splits one part of mu in two.  Each coefficient is
+    packed once at alpha = 2^W, each p_mu's row, cached per mu, is summed
+    on the packed integers, and each result is unpacked once.
+
+    Packing is a ring homomorphism, so only the result's digits must fit:
+    by the triangle inequality no coefficient of D v exceeds R ||v||_1,
+    ||v||_1 the sum of the absolute coefficients of v and R the largest
+    row sum of |A| + |B| at v's degree (_row_bound), and W is its _width.
+    A Fraction coefficient is cleared first by the lcm of the denominators.
     """
-    out = {}
-    for mu, c in v.terms.items():
-        cs = c.coeffs
-        for nu, A, B in _D_row(mu):
-            acc = out.setdefault(nu, [])
-            if A:
-                _addmul(acc, cs, A, 1)
-            if B:
-                _addmul(acc, cs, B)
-    return _vector(v.degree, {nu: _poly(cs) for nu, cs in out.items()})
-
-
-def multiply_p1(v):
-    # a part 1 appended to a Partition keeps it weakly decreasing
-    return _vector(v.degree + 1, {tuple.__new__(Partition, mu + (1,)): c
-                                  for mu, c in v.terms.items()})
+    packed, W, L = _packed(v, _row_bound(v.degree))
+    return _unpacked(v.degree, _D_pass(packed, W), W, L)
 
 
 def apply_alpha_Delta(l, v):
@@ -191,21 +237,35 @@ def apply_alpha_Delta(l, v):
 
     The factor alpha clears the 1/alpha of p1/alpha, so polynomial
     coefficients stay polynomial.  Expanded binomially, alpha Delta_l(v)
-    is sum_{k=0..l} C(l,k) (-1)^(l-k) D^k(p1 * D^(l-k) v), so only l+1
-    summands and at most l D-applications each are needed.
+    is sum_{k=0..l} c_k D^k(p1 * w_(l-k)), c_k = C(l,k) (-1)^(l-k) and
+    w_j = D^j v.  It is evaluated in Horner order,
+    c_0 p1 w_l + D(c_1 p1 w_(l-1) + D(... + D(c_l p1 w_0))), so l passes
+    of D make the w_j and l more make the sum: 2l passes in all.
+
+    Every pass runs on v's coefficients packed once at alpha = 2^W and
+    the result is unpacked once.  With R the _row_bound of degree n + 1,
+    which is at least that of degree n, each summand has
+    ||D^k(p1 w_(l-k))||_1 <= R^l ||v||_1, so no coefficient of the result
+    exceeds sum_k C(l,k) R^l ||v||_1 = (2R)^l ||v||_1, and W is its
+    _width; the w_j and the partial sums need no width of their own.
     """
     if l < 0:
         raise NegativeOrder("negative bracket depth %d" % l)
-    powers = [v]
+    packed, W, L = _packed(v, (2 * _row_bound(v.degree + 1)) ** l)
+    powers = [packed]
     for _ in range(l):
-        powers.append(apply_D(powers[-1]))
-    total = PSumVector(v.degree + 1)
-    for k in range(l + 1):
-        term = multiply_p1(powers[l - k])
-        for _ in range(k):
-            term = apply_D(term)
-        total = total + term.scale(comb(l, k) * (-1) ** (l - k))
-    return total
+        powers.append(_D_pass(powers[-1], W))
+    total = {}
+    for k in range(l, -1, -1):
+        if total:
+            total = _D_pass(total, W)
+        c = math.comb(l, k) * (-1) ** (l - k)
+        get = total.get
+        for mu, x in powers[l - k].items():
+            # a part 1 appended to a Partition keeps it weakly decreasing
+            nu = tuple.__new__(Partition, mu + (1,))
+            total[nu] = get(nu, 0) + c * x
+    return _unpacked(v.degree + 1, total, W, L)
 
 
 @lru_cache(maxsize=None)

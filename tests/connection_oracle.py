@@ -1,19 +1,21 @@
-"""Ring-operation forms of two connection routines, kept for the tests as
+"""Ring-operation forms of three connection routines, kept for the tests as
 independent oracles.
 
 The package sums the bracket's terms on one integer coefficient list with
 shifted adds.  bracket below forms each term as an AlphaPoly product with
 alpha - 1 or alpha and adds the products, so the tests can check the list
-form against it.  The package reads generator_properties off the tower's
+form against it.  The package brackets each distinct part of lam once in
+thm_rec_sides; thm_rec_sides below brackets every position of lam, on the
+public a_cauchy.  The package reads generator_properties off the tower's
 coefficient list; generator_properties below forms a_lr times the class
 size as a RatFunc and checks that.
 """
 
 import math
 
-from jackcc.algebra import ALPHA
-from jackcc.connection import a_lr
-from jackcc.partitions import Partition, down_k, down_kl, up_kl, z_aut_class
+from jackcc.algebra import ALPHA, AlphaPoly
+from jackcc.connection import a_cauchy, a_lr
+from jackcc.partitions import Partition, down_k, down_kl, up_k, up_kl, z_aut_class
 
 
 def bracket(lam, pos, coefficient_of):
@@ -34,6 +36,23 @@ def bracket(lam, pos, coefficient_of):
             term = coefficient_of(down_kl(lam, k, part)) * (ALPHA * part)
             total = term if total is None else total + term
     return total
+
+
+def thm_rec_sides(lam, nu):
+    """Both sides of the raising identity, the right one summing the
+    bracket over every position of lam, weighted by its part."""
+    n = nu.n
+    mults = nu.multiplicities()
+    lhs = AlphaPoly()
+    for value in mults:
+        i = value + 1
+        grown = a_cauchy(lam, [Partition([n + 1]), up_k(nu, value)])
+        lhs = lhs + grown.as_poly() * (i * (mults.get(i, 0) + 1))
+    others = [Partition([n]), nu]
+    rhs = AlphaPoly()
+    for pos, part in enumerate(lam):
+        rhs = rhs + bracket(lam, pos, lambda rho: a_cauchy(rho, others).as_poly()) * part
+    return lhs, rhs
 
 
 def generator_properties(lam, l, r):

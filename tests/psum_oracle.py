@@ -1,10 +1,16 @@
-"""D applied term by term, kept for the tests as an independent oracle.
+"""D and the bracket tower's operator applied term by term, kept for the
+tests as independent oracles.
 
-The package applies D through rows cached per partition on integer
-coefficient lists.  The routine below recounts every multiplicity and
-rebuilds every partition on each call and multiplies AlphaPolys, so the
-tests can check the package's D against it.
+The package applies D through rows cached per partition on packed
+integers, and the tower's operator in Horner order on the same packing.
+apply_D below recounts every multiplicity and rebuilds every partition on
+each call and multiplies AlphaPolys; apply_alpha_Delta sums the binomial
+expansion of the bracket term by term, each summand its own chain of
+apply_D and multiply_p1 on PSumVectors.  The tests check the package's
+operators against them.
 """
+
+from math import comb
 
 from jackcc.algebra import ALPHA, AlphaPoly
 from jackcc.partitions import Partition
@@ -45,3 +51,23 @@ def apply_D(v):
                 factor = (k // 2 if 2 * i == k else k) * m
                 out[nu] = out.get(nu, zero) + c * factor
     return PSumVector(v.degree, out)
+
+
+def multiply_p1(v):
+    """p_1 times v: a part 1 appended to every key."""
+    return PSumVector(v.degree + 1, {Partition(tuple(mu) + (1,)): c
+                                     for mu, c in v.terms.items()})
+
+
+def apply_alpha_Delta(l, v):
+    """alpha Delta_l(v) = sum_k C(l,k) (-1)^(l-k) D^k(p1 * D^(l-k) v)."""
+    powers = [v]
+    for _ in range(l):
+        powers.append(apply_D(powers[-1]))
+    total = PSumVector(v.degree + 1)
+    for k in range(l + 1):
+        term = multiply_p1(powers[l - k])
+        for _ in range(k):
+            term = apply_D(term)
+        total = total + term.scale(comb(l, k) * (-1) ** (l - k))
+    return total

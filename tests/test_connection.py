@@ -13,9 +13,11 @@ import jackcc.algebra
 import jackcc.connection
 import jackcc.jack
 import jackcc.psum
+import psum_oracle
 from algebra_oracle import poly_gcd
 from connection_oracle import bracket as oracle_bracket
 from connection_oracle import generator_properties as oracle_generator_properties
+from connection_oracle import thm_rec_sides as oracle_thm_rec_sides
 from jackcc.algebra import ALPHA, ONE, AlphaPoly, RatFunc, _unpack, _width, substitute_beta
 from jackcc.connection import (
     CoeffResult, a_cauchy, a_lr, a_nn_recurrence, generator_properties, pivot_values,
@@ -168,6 +170,19 @@ def test_thm_rec_sweep():
         verify_thm_rec(P([2]), P([2]))
 
 
+def test_thm_rec_sides_match_the_all_positions_oracle():
+    """Bracketing each distinct part of lam once, weighted by part times
+    multiplicity, gives both sides of the all-positions sum, for every
+    (lam, nu) of n <= 7."""
+    pairs = 0
+    for n in range(1, 8):
+        for lam in generate_partitions(n + 1):
+            for nu in generate_partitions(n):
+                assert thm_rec_sides(lam, nu) == oracle_thm_rec_sides(lam, nu), (lam, nu)
+                pairs += 1
+    assert pairs == 630
+
+
 def _remark_identities(mu):
     """The three consequences of the recurrence for appended small parts."""
     n = mu.n + 1
@@ -291,6 +306,20 @@ def test_tower_counts_minimal_factorizations_of_a_cycle(monkeypatch):
 def test_lr_degenerate_l1():
     for n in range(2, 6):
         assert a_lr(P([1] * n), 1, 0).is_zero
+
+
+def test_tower_stages_match_the_binomial_oracle():
+    """Every stage _tower_with_D(l, r, n), l <= 5, r <= 3, n <= 9, equals
+    the stage grown by the oracle's binomial sum and per-term D."""
+    for l in range(6):
+        stage = psum_unit(P([1]))
+        for n in range(1, 10):
+            if n > 1:
+                stage = psum_oracle.apply_alpha_Delta(l, stage)
+            with_D = stage
+            for r in range(4):
+                assert jackcc.connection._tower_with_D(l, r, n) == with_D, (l, r, n)
+                with_D = psum_oracle.apply_D(with_D)
 
 
 def test_gamma_tower():

@@ -11,9 +11,10 @@ from jackcc.algebra import ALPHA, AlphaPoly, RatFunc
 from jackcc.errors import DegreeMismatch, NotPolynomial
 from jackcc.partitions import Partition, generate_partitions
 from jackcc.psum import (
-    PSumVector, apply_D, apply_alpha_Delta, multiply_p1, p_to_m, psum_unit,
-    transition_matrix,
+    PSumVector, _D_row, _row_bound, apply_D, apply_alpha_Delta, p_to_m,
+    psum_unit, transition_matrix,
 )
+from psum_oracle import multiply_p1
 
 P = Partition
 
@@ -106,6 +107,60 @@ def test_D_is_not_bounded_by_the_degree_bound():
     for mu in (P([12]), P([5, 4, 3]), P([1] * 11)):
         v = psum_unit(mu)
         assert apply_D(v) == psum_oracle.apply_D(v), mu
+
+
+def test_row_bound_is_the_largest_row_sum(monkeypatch):
+    """A row of mu sums |A| + |B| to sum mu_i^2 + n(n-3)/2, and
+    _row_bound(n) is the largest of them, reached at mu = (n)."""
+    monkeypatch.setenv("JACKCC_MAX_N", "12")
+    for n in range(1, 13):
+        sums = {mu: sum(abs(A) + abs(B) for _, A, B in _D_row(mu))
+                for mu in generate_partitions(n)}
+        for mu, total in sums.items():
+            assert total == sum(i * i for i in mu) + n * (n - 3) // 2, mu
+        assert max(sums.values()) == sums[P([n])] == _row_bound(n), n
+
+
+def test_Delta_matches_the_binomial_oracle_on_random_vectors():
+    """The Horner order on packed integers against the binomial sum of
+    PSumVectors, with int and with Fraction coefficients, l in 0..5."""
+    rng = random.Random(27)
+    draws = {"int": lambda: rng.randint(-9, 9),
+             "Fraction": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 6))}
+    for kind, coefficient in draws.items():
+        for l in range(6):
+            for _ in range(6):
+                v = _random_vector(rng, rng.randint(1, 6), coefficient)
+                got = apply_alpha_Delta(l, v)
+                assert got == psum_oracle.apply_alpha_Delta(l, v), (kind, l, v)
+                assert all(type(c) is int or c.denominator != 1
+                           for p in got.terms.values() for c in p.coeffs), (kind, v)
+
+
+def test_wide_coefficients_come_out_exact():
+    """Coefficients of about 100 digits, of both signs and with a
+    denominator, far wider than any tower stage at these degrees: the
+    width follows the vector's norm, so D and the bracket stay exact."""
+    rng = random.Random(100)
+
+    def coefficient():
+        return rng.choice((-1, 1)) * rng.randrange(10 ** 99, 10 ** 100)
+
+    for n in (3, 5):
+        v = _random_vector(rng, n, coefficient)
+        assert apply_D(v) == psum_oracle.apply_D(v), n
+        for l in (1, 3):
+            assert apply_alpha_Delta(l, v) == psum_oracle.apply_alpha_Delta(l, v), (n, l)
+        w = v.scale(Fraction(1, 7 * 10 ** 50 + 1))
+        assert apply_alpha_Delta(2, w) == psum_oracle.apply_alpha_Delta(2, w), n
+
+
+def test_Delta_is_not_bounded_by_the_degree_bound():
+    # the width comes from a closed form in the degree, so
+    # apply_alpha_Delta reads no degree bound either
+    for mu in (P([12]), P([5, 4, 3]), P([1] * 12)):
+        v = psum_unit(mu)
+        assert apply_alpha_Delta(2, v) == psum_oracle.apply_alpha_Delta(2, v), mu
 
 
 def test_degree_shifting_operators():
