@@ -7,8 +7,8 @@ plain big-int arithmetic.  The ring has no general division.  The hot
 loops skip the polynomial objects and work on integer coefficient lists:
 _addmul accumulates a scaled, shifted list into another, _linear_list
 multiplies out a product of linear factors q*a + p, _divide_linear is the
-exact quotient by one such factor, which the Jack solver and _quotient
-share, and _divide_int the exact quotient by an integer.
+exact quotient by one such factor, and _divide_int the exact quotient by
+an integer.
 
 Sums of products of integer polynomials run packed (Kronecker
 substitution; Harvey, J. Symbolic Comput. 44, 2009): _pack evaluates each
@@ -19,28 +19,23 @@ absolute value, so B is always _width of a bound proven for the sum at
 hand: by the triangle inequality, no coefficient of sum w*f*g exceeds
 sum |w| |f|_1 |g|_1, |f|_1 the sum of the absolute coefficients of f.
 
-RatFunc is the readout type of the connection coefficients: a quotient
-kept in lowest terms with a monic denominator, which makes equality a
-plain comparison.  It offers no field operations.  Every denominator the
-package divides by is a product of known linear factors, so one function,
-_quotient, reduces every value: it divides an integer numerator by
-scale * prod (q*a + p)^m, cancelling a by slicing and the product of the
-other factors by one checked packed division (by _divide_linear one
-factor at a time where that product does not divide).  The constructor
-sends a denominator c*a^d there as the factor a to the power d, the tower
-route its n! a^(n - len), and the Cauchy route the hook factors of its
-common denominator.
+Every connection coefficient is an AlphaPoly.  The paper proves this for
+two full cycles; Goulden and Jackson conjecture it for every triple (Trans.
+AMS 348, 1996), and no value computed here has had a denominator.  A route
+that divides does so through one function, _quotient: it divides an
+integer numerator by scale * prod (q*a + p)^m, the factor a by slicing and
+the product of the others by one checked packed division, and raises
+NotPolynomial, naming the factor left over, where D does not divide.  The
+tower route divides by n! a^(n - len), the Cauchy route by the hook
+factors of its common denominator.  RatFunc, the former readout type, is
+kept as a name only: an AlphaPoly subclass that adds nothing.
 """
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Number
 
-from .errors import (
-    BadExponent, DivisionByZero, InexactDivision, NonMonomialDenominator,
-    NotPolynomial, PoleAtPoint,
-)
+from .errors import BadExponent, InexactDivision, NotPolynomial
 
 __all__ = ["AlphaPoly", "RatFunc", "ALPHA", "ONE", "substitute_beta"]
 
@@ -68,6 +63,8 @@ class AlphaPoly:
     def __init__(self, coeffs=()):
         if isinstance(coeffs, Number):
             coeffs = (coeffs,)
+        elif isinstance(coeffs, AlphaPoly):
+            coeffs = coeffs.coeffs
         cs = [c if type(c) is int else _coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -341,113 +338,24 @@ ALPHA = AlphaPoly((0, 1))
 ONE = AlphaPoly((1,))
 
 
-class RatFunc:
-    """Reduced quotient of AlphaPolys.  den is monic and coprime to num.
+class RatFunc(AlphaPoly):
+    """The former readout type, kept as a name: every value is an AlphaPoly."""
 
-    The constructor takes only a denominator c*a^d, whose gcd with num is
-    a power of a; a value over any other denominator is built by the route
-    that knows its factors.  Both reduce through _quotient.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=1):
-        num = num if isinstance(num, AlphaPoly) else AlphaPoly(num)
-        den = den if isinstance(den, AlphaPoly) else AlphaPoly(den)
-        if den.coeffs == (1,):
-            self.num, self.den = num, ONE
-            return
-        if den.is_zero:
-            raise DivisionByZero("zero denominator")
-        if any(den.coeffs[:-1]):
-            raise NonMonomialDenominator(
-                "denominator %s is not of the form c*a^d" % den.to_text())
-        # num / (c a^d) is L c.den num / (L c.num a^d), L the lcm of the
-        # denominators of num's coefficients, an integer quotient
-        L = math.lcm(*[x.denominator for x in num.coeffs])
-        c = den.leading
-        r = _quotient([x.numerator * (L // x.denominator) * c.denominator
-                       for x in num.coeffs], {(0, 1): den.degree}, L * c.numerator)
-        self.num, self.den = r.num, r.den
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (AlphaPoly, int, Fraction)):
-            return RatFunc(other)
-        return None
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    @property
-    def is_polynomial(self):
-        return self.den == ONE
-
-    def as_poly(self):
-        if not self.is_polynomial:
-            raise NotPolynomial("denominator is %s" % self.den.to_text())
-        return self.num
-
-    def __mul__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        # a nonzero constant leaves num and den coprime and den monic
-        if not other:
-            return _ratfunc(AlphaPoly(), ONE)
-        return _ratfunc(self.num * other, self.den)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        if self.is_polynomial:
-            return hash(self.num)
-        return hash((self.num.coeffs, self.den.coeffs))
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def eval_at(self, x):
-        x = _coeff(x)
-        dv = self.den(x)
-        if dv == 0:
-            raise PoleAtPoint("denominator vanishes at %s" % x)
-        return self.num(x) / dv
-
-    def to_text(self, var="a"):
-        if self.is_polynomial:
-            return self.num.to_text(var)
-        return "(%s)/(%s)" % (self.num.to_text(var), self.den.to_text(var))
-
-    def to_json(self):
-        return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(AlphaPoly.from_json(data["num"]), AlphaPoly.from_json(data["den"]))
-
-    def __repr__(self):
-        return "RatFunc(%s)" % self.to_text()
+    __slots__ = ()
 
 
 def _poly_json(p):
-    """RatFunc.to_json of the polynomial p: its denominator is the constant 1."""
+    """The JSON of the polynomial p as a quotient: {"num": p, "den": 1}."""
     return {"num": p.to_json(), "den": [["1", "1"]]}
 
 
-def _ratfunc(num, den):
-    """RatFunc over a num and den already coprime, den monic and 1 when num is 0."""
-    r = object.__new__(RatFunc)
-    r.num, r.den = num, den
-    return r
+def _poly_from_json(data):
+    """The polynomial that _poly_json wrote.  The input is read from
+    outside the program, so any "den" other than 1 raises NotPolynomial."""
+    den = AlphaPoly.from_json(data["den"])
+    if den.coeffs != (1,):
+        raise NotPolynomial("denominator is %s" % den.to_text())
+    return AlphaPoly.from_json(data["num"])
 
 
 def _divide_packed(num, lin, B):
@@ -491,7 +399,8 @@ def _linear_product(factors):
 
 
 def _quotient(num, factors, scale):
-    """num / D in lowest terms with a monic denominator, with no gcd.
+    """num / D as an AlphaPoly, with no gcd, or NotPolynomial if D does
+    not divide num.
 
     num is an integer coefficient list, which is consumed, and D is
     scale * prod (q*a + p)^m over the items ((p, q), m) of factors, each
@@ -499,49 +408,36 @@ def _quotient(num, factors, scale):
     a goes with num's zero low coefficients.  The product L of the others
     goes by _divide_packed at the width of Mignotte's bound 2^deg |num|_1
     on the factors of num, which finds the quotient whenever L divides
-    num; otherwise each factor is divided out by _divide_linear up to its
-    multiplicity.  The part of D left over is coprime to the quotient,
-    since distinct primitive linear factors share no root.
+    num, so a decline is exact.  The error names what is left over: a^k,
+    or L.  scale divides each coefficient, exactly where it can.
     """
     while num and not num[-1]:
         num.pop()
     if not num:
-        return _ratfunc(AlphaPoly(), ONE)
+        return AlphaPoly()
     m = factors.get((0, 1), 0)
     low = 0
     while low < m and not num[low]:
         low += 1
-    num = num[low:]
-    den = _poly([0] * (m - low) + [1])
-    lead = scale
+    if low < m:
+        raise NotPolynomial("a^%d is left in the denominator" % (m - low))
+    num = num[m:]
     rest = tuple(item for item in factors.items() if item[0] != (0, 1) and item[1])
     if rest:
         lin = _linear_product(rest)
         extra = len(num) - len(lin)
         quo = extra >= 0 and _divide_packed(
             num, lin, _width(sum(map(abs, num)) << extra))
-        if quo:
-            num = quo
-        else:
-            for (p, q), m in rest:
-                while m:
-                    try:
-                        num = _divide_linear(num, p, q)
-                    except InexactDivision:
-                        den = den * AlphaPoly((Fraction(p, q), 1)) ** m
-                        lead *= q ** m
-                        break
-                    m -= 1
-    return _ratfunc(_poly([c // lead if c % lead == 0 else Fraction(c, lead)
-                           for c in num]), den)
+        if not quo:
+            raise NotPolynomial("%s is left in the denominator"
+                                % AlphaPoly(lin).to_text())
+        num = quo
+    return _poly([c // scale if c % scale == 0 else Fraction(c, scale)
+                  for c in num])
 
 
 def _require_poly(p):
-    if isinstance(p, RatFunc):
-        return p.as_poly()
-    if isinstance(p, AlphaPoly):
-        return p
-    return AlphaPoly(p)
+    return p if isinstance(p, AlphaPoly) else AlphaPoly(p)
 
 
 def substitute_beta(p):

@@ -14,9 +14,9 @@ import time
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple, Optional
 
-from .algebra import substitute_beta
+from .algebra import _poly_json, substitute_beta
 from .connection import (
-    CoeffResult, a_cauchy, a_lr, a_nn_recurrence, generator_properties,
+    a_cauchy, a_lr, a_nn_recurrence, generator_properties,
     pivot_values, thm_rec_sides,
 )
 from .errors import (
@@ -369,12 +369,9 @@ def _cmd_jack(args):
 
 
 def _coeff_table(lam_text, value):
-    res = CoeffResult.wrap(value)
-    beta = res.beta_form.to_text("b") if res.beta_form is not None else ""
-    row = (lam_text, res.value.to_text(), beta)
-    obj = {"lambda": lam_text,
-           "value": res.value.to_json(),
-           "beta": res.beta_form.to_json() if res.beta_form is not None else None}
+    beta = substitute_beta(value)
+    row = (lam_text, value.to_text(), beta.to_text("b"))
+    obj = {"lambda": lam_text, "value": _poly_json(value), "beta": beta.to_json()}
     return Table(("lambda", "value", "beta"), (row,), json_obj=obj)
 
 

@@ -15,11 +15,10 @@ import math
 from collections import Counter
 from functools import lru_cache
 from operator import mul
-from typing import NamedTuple, Optional
 
 from .algebra import (
-    AlphaPoly, RatFunc, _addmul, _divide_linear, _linear_product, _pack, _poly,
-    _quotient, _unpack, _width, substitute_beta,
+    AlphaPoly, _addmul, _divide_linear, _linear_product, _pack, _poly,
+    _quotient, _unpack, _width,
 )
 from .config import check_degree
 from .errors import DegreeMismatch, EmptyPartition, NegativeOrder
@@ -31,23 +30,10 @@ from .partitions import (
 from .psum import apply_D, apply_alpha_Delta, psum_unit
 
 __all__ = [
-    "CoeffResult", "a_cauchy", "a_nn_recurrence", "pivot_values",
+    "a_cauchy", "a_nn_recurrence", "pivot_values",
     "verify_i_independence", "thm_rec_sides", "verify_thm_rec", "a_lr",
     "generator_properties",
 ]
-
-
-class CoeffResult(NamedTuple):
-    """A coefficient together with its shifted form at beta = alpha - 1."""
-
-    value: RatFunc
-    beta_form: Optional[AlphaPoly]
-
-    @classmethod
-    def wrap(cls, value):
-        value = value if isinstance(value, RatFunc) else RatFunc(value)
-        beta = substitute_beta(value) if value.is_polynomial else None
-        return cls(value, beta)
 
 
 def _as_partition(p):
@@ -247,9 +233,8 @@ def thm_rec_sides(lam, nu):
     The left side sums over the part values i-1 present in nu, growing one
     of them; the right side sums the part-surgery bracket of lam over its
     pivots, weighted by the pivot's part, inside a coefficient with lower
-    indices (n) and nu.  Every coefficient read is
-    a polynomial, and one that is not raises NotPolynomial.  The Cauchy
-    values are read from _cauchy_cached under a_cauchy's own keys.
+    indices (n) and nu.  The Cauchy values are read from _cauchy_cached
+    under a_cauchy's own keys.
     """
     lam, nu = _as_partition(lam), _as_partition(nu)
     if lam.n != nu.n + 1:
@@ -266,11 +251,11 @@ def thm_rec_sides(lam, nu):
         i = value + 1
         factor = i * (mults.get(i, 0) + 1)
         grown = _cauchy_cached(lam, (full, up_k(nu, value)))
-        _addmul(lhs, grown.as_poly().coeffs, factor)
+        _addmul(lhs, grown.coeffs, factor)
     others = (Partition([n]), nu)
 
     def coefficient_of(rho):
-        return _cauchy_cached(rho, others).as_poly()
+        return _cauchy_cached(rho, others)
 
     # the bracket depends on the pivot's value only, so each distinct part
     # is bracketed once, weighted by the part times its multiplicity

@@ -14,24 +14,12 @@ class MissingPart(JackccError, ValueError):
     """A partition modification needs a part that is not there."""
 
 
-class DivisionByZero(JackccError, ZeroDivisionError):
-    """A RatFunc was asked for over the zero denominator."""
-
-
 class NotPolynomial(JackccError, ValueError):
-    """A rational function with a nontrivial denominator was used where a polynomial is required."""
+    """A quotient or a JSON value that is not a polynomial in alpha."""
 
 
 class InexactDivision(JackccError, ArithmeticError):
     """Division of an integer polynomial by a primitive linear factor left a remainder."""
-
-
-class NonMonomialDenominator(JackccError, ValueError):
-    """A RatFunc was asked for over a denominator that is not c*a^d, the only kind it reduces."""
-
-
-class PoleAtPoint(JackccError, ArithmeticError):
-    """Evaluation at a point where the denominator vanishes."""
 
 
 class DegreeTooLarge(JackccError, ValueError):

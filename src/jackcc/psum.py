@@ -2,7 +2,7 @@
 
 Vectors are sparse maps from partitions of a fixed degree to AlphaPoly
 coefficients: Jack characters, D and the alpha-scaled bracket tower are all
-polynomial in alpha, and a coefficient with a denominator raises
+polynomial in alpha, and a JSON coefficient with a denominator raises
 NotPolynomial.  The differential operators rewrite partition keys directly:
 d/dp_i applied to a monomial with m_i parts of size i contributes the
 factor m_i and removes one part, so every operator below reduces to
@@ -23,7 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
-    AlphaPoly, RatFunc, _pack, _poly, _poly_json, _require_poly, _unpack, _width,
+    AlphaPoly, _pack, _poly, _poly_from_json, _poly_json, _require_poly, _unpack,
+    _width,
 )
 from .config import check_degree
 from .errors import DegreeMismatch, NegativeOrder
@@ -119,7 +120,7 @@ class PSumVector:
     @classmethod
     def from_json(cls, data):
         return cls(data["degree"],
-                   [(Partition.from_text(t["mu"]), RatFunc.from_json(t["coeff"]))
+                   [(Partition.from_text(t["mu"]), _poly_from_json(t["coeff"]))
                     for t in data["terms"]])
 
 

@@ -8,7 +8,7 @@ form against it.  The package brackets each distinct part of lam once in
 thm_rec_sides; thm_rec_sides below brackets every position of lam, on the
 public a_cauchy.  The package reads generator_properties off the tower's
 coefficient list; generator_properties below forms a_lr times the class
-size as a RatFunc and checks that.
+size as an AlphaPoly and checks that.
 """
 
 import math
@@ -47,24 +47,21 @@ def thm_rec_sides(lam, nu):
     for value in mults:
         i = value + 1
         grown = a_cauchy(lam, [Partition([n + 1]), up_k(nu, value)])
-        lhs = lhs + grown.as_poly() * (i * (mults.get(i, 0) + 1))
+        lhs = lhs + grown * (i * (mults.get(i, 0) + 1))
     others = [Partition([n]), nu]
     rhs = AlphaPoly()
     for pos, part in enumerate(lam):
-        rhs = rhs + bracket(lam, pos, lambda rho: a_cauchy(rho, others).as_poly()) * part
+        rhs = rhs + bracket(lam, pos, lambda rho: a_cauchy(rho, others)) * part
     return lhs, rhs
 
 
 def generator_properties(lam, l, r):
     """Degree bound, integrality and (anti)palindromic symmetry of
-    a_lr(lam, l, r) times the class size of lam, as a RatFunc."""
+    a_lr(lam, l, r) times the class size of lam, as an AlphaPoly."""
     lam = Partition(lam)
     n = lam.n
     class_size = math.factorial(n) // z_aut_class(lam)[0]
-    value = a_lr(lam, l, r) * class_size
-    if not value.is_polynomial:
-        return False
-    poly = value.as_poly()
+    poly = a_lr(lam, l, r) * class_size
     if any(c.denominator != 1 for c in poly.coeffs):
         return False
     if poly.degree > (n - 1) * (l - 1) + r:

@@ -14,13 +14,13 @@ import jackcc.connection
 import jackcc.jack
 import jackcc.psum
 import psum_oracle
-from algebra_oracle import poly_gcd
+from algebra_oracle import reduced
 from connection_oracle import bracket as oracle_bracket
 from connection_oracle import generator_properties as oracle_generator_properties
 from connection_oracle import thm_rec_sides as oracle_thm_rec_sides
 from jackcc.algebra import ALPHA, ONE, AlphaPoly, RatFunc, _unpack, _width, substitute_beta
 from jackcc.connection import (
-    CoeffResult, a_cauchy, a_lr, a_nn_recurrence, generator_properties, pivot_values,
+    a_cauchy, a_lr, a_nn_recurrence, generator_properties, pivot_values,
     thm_rec_sides, verify_i_independence, verify_thm_rec,
 )
 from jackcc.errors import DegreeMismatch, EmptyPartition, NotPolynomial
@@ -50,8 +50,8 @@ def test_cauchy_validates_weights():
 
 def test_cauchy_specializations():
     value = a_cauchy(P([1, 1]), [P([2]), P([2])])
-    assert value.eval_at(1) == 1
-    assert value.eval_at(2) == 2
+    assert value(1) == 1
+    assert value(2) == 2
 
 
 def test_recurrence_small_values():
@@ -147,18 +147,6 @@ def test_thm_rec_hand_case():
     assert lhs == RatFunc(2 * (ALPHA - 1))
     assert thm_rec_sides(P([2]), P([1])) == (2 * (ALPHA - 1), 2 * (ALPHA - 1))
     assert verify_thm_rec(P([2]), P([1])) is True
-
-
-def test_thm_rec_refuses_a_value_with_a_denominator(monkeypatch):
-    jackcc.connection._cauchy_cached.cache_clear()
-    monkeypatch.setattr(jackcc.connection, "_cauchy_cached",
-                        lambda lam, others: RatFunc(1, ALPHA))
-    try:
-        with pytest.raises(NotPolynomial):
-            thm_rec_sides(P([2]), P([1]))
-    finally:
-        monkeypatch.undo()
-        jackcc.connection._cauchy_cached.cache_clear()
 
 
 def test_thm_rec_sweep():
@@ -335,16 +323,14 @@ def test_gamma_tower():
     g3 = apply_alpha_Delta(2, g2).scale(Fraction(1, 3))
     readout = g3.coeff(P([3]))
     z = z_aut_class(P([3]))[0]
-    recovered = RatFunc(readout * z * ALPHA, ALPHA ** 3)
-    assert recovered == RatFunc(a_nn_recurrence(P([3])))
+    assert readout * z * ALPHA == a_nn_recurrence(P([3])) * ALPHA ** 3
 
 
 def test_generator_properties_examples():
     assert generator_properties(P([3]), 2, 0)
     assert generator_properties(P([2, 1]), 2, 0)
     assert generator_properties(P([1, 1, 1]), 2, 0)
-    value = a_lr(P([3]), 2, 0) * 2
-    assert value.as_poly() == 4 * ALPHA ** 2 - 6 * ALPHA + 4
+    assert a_lr(P([3]), 2, 0) * 2 == 4 * ALPHA ** 2 - 6 * ALPHA + 4
 
 
 def test_generator_properties_sweep_small():
@@ -358,7 +344,7 @@ def test_generator_properties_sweep_small():
 
 def test_generator_properties_matches_the_ratfunc_oracle():
     """The verdict read off the tower's coefficient list equals the one of
-    a_lr times the class size as a RatFunc, for every lam of n <= 7,
+    a_lr times the class size as an AlphaPoly, for every lam of n <= 7,
     l in 0..4 and r in 0..3."""
     cases = [(lam, l, r) for n in range(1, 8) for lam in generate_partitions(n)
              for l in range(5) for r in range(4)]
@@ -399,21 +385,26 @@ def test_thm_rec_reads_the_entries_a_cauchy_reads():
     assert after.hits == before.hits + len(queries)
 
 
-def test_coeff_result_wrap():
-    res = CoeffResult.wrap(a_cauchy(P([3]), [P([3]), P([3])]))
-    assert res.beta_form == AlphaPoly((1, 1, 2))
-    frac = CoeffResult.wrap(RatFunc(1, ALPHA))
-    assert frac.beta_form is None
+def _integer_polynomial(value):
+    return type(value) is AlphaPoly and all(type(c) is int for c in value.coeffs)
 
 
-def test_cauchy_polynomial_for_general_indices():
-    for n in range(1, 6):
+def test_every_route_value_is_an_integer_polynomial():
+    """The census: every value of the Cauchy route with one to three other
+    indices at n <= 6 and two at n = 7, and of the tower for l in 0..5,
+    r in 0..4, n <= 8, is an AlphaPoly with int coefficients."""
+    for n in range(1, 8):
         parts = generate_partitions(n)
-        for lam in parts:
-            for mu in parts:
-                for nu in parts:
-                    value = a_cauchy(lam, [mu, nu])
-                    assert value.is_polynomial, (lam, mu, nu)
+        for k in ((2,) if n == 7 else (1, 2, 3)):
+            for others in itertools.combinations_with_replacement(parts, k):
+                for lam in parts:
+                    value = a_cauchy(lam, others)
+                    assert _integer_polynomial(value), (lam, others)
+    for n in range(1, 9):
+        for lam in generate_partitions(n):
+            for l in range(6):
+                for r in range(5):
+                    assert _integer_polynomial(a_lr(lam, l, r)), (lam, l, r)
 
 
 def _digest(lines):
@@ -490,14 +481,9 @@ def _per_gamma_cauchy(lam1, others, table=None):
 
 
 def _equals_pair(got, want):
-    """got equals the pair want = (num, den), by cross multiplication, and
-    is in lowest terms with a monic denominator, by the oracle's gcd."""
+    """got equals the pair want = (num, den), by cross multiplication."""
     num, den = want
-    if got:
-        reduced = got.den.leading == 1 and poly_gcd(got.num, got.den) == ONE
-    else:
-        reduced = got.den == ONE
-    return reduced and got.num * den == num * got.den
+    return got * den == num
 
 
 def test_cauchy_matches_per_gamma_oracle():
@@ -627,8 +613,8 @@ def test_cold_cauchy_makes_no_ring_product_and_packs_once(monkeypatch, cold_cauc
 
 def test_cauchy_skips_a_vanishing_character(monkeypatch, cold_cauchy):
     """No character vanishes for n <= 7, so one is removed from a copy of
-    the degree-4 table; the values that stop being polynomials keep part
-    of the common denominator."""
+    the degree-4 table; a value that stops being a polynomial, by the
+    oracle's gcd, raises NotPolynomial, and every other one is exact."""
     table = jack_table(4)
     rows = dict(table.rows)
     gamma, gone = P([2, 2]), P([3, 1])
@@ -640,20 +626,22 @@ def test_cauchy_skips_a_vanishing_character(monkeypatch, cold_cauchy):
     seen_fraction = False
     for lam in parts:
         for others in ((gone,), (P([4]), gone), (gone, gone, P([2, 1, 1]))):
-            got = a_cauchy(lam, others)
             want = _per_gamma_cauchy(lam, others, patched)
-            assert _equals_pair(got, want), (lam, others)
-            seen_fraction |= not got.is_polynomial
+            if reduced(*want)[1] != ONE:
+                seen_fraction = True
+                with pytest.raises(NotPolynomial):
+                    a_cauchy(lam, others)
+                continue
+            assert _equals_pair(a_cauchy(lam, others), want), (lam, others)
     assert seen_fraction
 
 
 def test_cauchy_runs_no_euclid(cold_cauchy):
     # the package keeps no Euclid to call: no gcd and no general division
     assert not hasattr(jackcc.algebra, "poly_gcd")
-    for name in ("__divmod__", "__floordiv__", "__mod__", "exact_div", "monic"):
+    for name in ("__divmod__", "__floordiv__", "__mod__", "__truediv__",
+                 "exact_div", "monic"):
         assert not hasattr(AlphaPoly, name), name
-    for name in ("__add__", "__sub__", "__neg__", "__truediv__"):
-        assert not hasattr(RatFunc, name), name
     for n in range(1, 7):
         parts = generate_partitions(n)
         for lam in parts:
@@ -663,30 +651,23 @@ def test_cauchy_runs_no_euclid(cold_cauchy):
 
 def test_jack_tables_and_towers_build_no_rational_functions(monkeypatch):
     """Characters and tower stages are polynomials end to end: a cold
-    jack_table reduces no quotient, and a_lr reduces one, its readout,
+    jack_table divides no quotient, and a_lr divides one, its readout,
     through the shared quotient, even when it grows the tower."""
     jackcc.jack._build_table.cache_clear()
     jackcc.psum._transition.cache_clear()
     jackcc.connection._tower.cache_clear()
     jackcc.connection._tower_with_D.cache_clear()
-    made, reduced = [], []
-    init = RatFunc.__init__
+    divided = []
     quotient = jackcc.connection._quotient
 
-    def counting_init(self, *args):
-        made.append(args)
-        init(self, *args)
-
     def counting_quotient(*args):
-        reduced.append(args)
+        divided.append(args)
         return quotient(*args)
 
-    monkeypatch.setattr(RatFunc, "__init__", counting_init)
     monkeypatch.setattr(jackcc.connection, "_quotient", counting_quotient)
     jack_table(6)
-    assert not made and not reduced
+    assert not divided
     for lam in generate_partitions(6):
-        reduced.clear()
+        divided.clear()
         a_lr(lam, 2, 0)
-        assert len(reduced) == 1, lam
-    assert not made
+        assert len(divided) == 1, lam

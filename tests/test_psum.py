@@ -256,9 +256,9 @@ def test_json_round_trip():
 
 
 def test_coefficients_with_a_denominator_are_refused():
-    blob = vec(1, _1=1).to_json()
-    blob["terms"][0]["coeff"] = RatFunc(1, ALPHA).to_json()
-    with pytest.raises(NotPolynomial):
-        PSumVector.from_json(blob)
-    with pytest.raises(NotPolynomial):
-        psum_unit(P([2])).scale(RatFunc(1, ALPHA))
+    # 1/a, and 2/2, whose "den" is not the constant 1 either
+    for den in ([["0", "1"], ["1", "1"]], [["2", "1"]]):
+        blob = {"degree": 1, "terms": [
+            {"mu": "1", "coeff": {"num": [["2", "1"]], "den": den}}]}
+        with pytest.raises(NotPolynomial):
+            PSumVector.from_json(blob)

@@ -1,8 +1,8 @@
-"""Property tests for the coefficient ring and the RatFunc canonical form.
+"""Property tests for the coefficient ring and the exact quotient.
 
 AlphaPoly stores an integral coefficient as an int and any other as a
 Fraction; the oracle below redoes every operation on plain Fraction lists,
-and the reductions are checked against Euclid from algebra_oracle.
+and _quotient is checked against Euclid from algebra_oracle.
 """
 
 import math
@@ -20,31 +20,19 @@ from jackcc.algebra import (
     ONE, AlphaPoly, RatFunc, _divide_linear, _divide_packed, _pack, _quotient,
 )
 from jackcc.connection import _cauchy_cofactors
-from jackcc.errors import InexactDivision, NonMonomialDenominator
+from jackcc.errors import InexactDivision, NotPolynomial
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 nonzero = fractions.filter(bool)
 polys = st.lists(fractions, max_size=6).map(AlphaPoly)
-nonconstant = polys.filter(lambda p: p.degree >= 1)
 
 
-def _is_monomial(p):
-    return not any(p.coeffs[:-1])
-
-
-@st.composite
-def _monomials(draw):
-    """c*a^d with c a nonzero int or Fraction and 0 <= d <= 4."""
-    c = draw(st.one_of(st.integers(min_value=-30, max_value=30), nonzero)
-             .filter(bool))
-    return AlphaPoly([0] * draw(st.integers(min_value=0, max_value=4)) + [c])
-
-
-@given(polys, nonzero)
-def test_constant_denominator_is_a_scaling(p, c):
-    assert RatFunc(p, c) == RatFunc(p * (1 / c))
-    assert RatFunc(p, c).den == ONE
-    assert RatFunc(p, AlphaPoly(c)).num == p * (1 / c)
+@given(st.lists(st.integers(min_value=-30, max_value=30), max_size=6),
+       st.integers(min_value=-30, max_value=30).filter(bool))
+def test_constant_denominator_is_a_scaling(x, c):
+    want = _o_mul(_trim(x), (Fraction(1, c),))
+    assert _stored(_quotient(list(x), {}, c)) == want
+    assert _stored(_quotient(list(x), {(0, 1): 0, (1, 1): 0}, c)) == want
 
 
 @given(polys, nonzero)
@@ -53,22 +41,6 @@ def test_gcd_with_a_constant_is_one(p, c):
     if not p.is_zero:
         assert poly_gcd(p, AlphaPoly(c)) == ONE
         assert poly_gcd(AlphaPoly(c), p) == ONE
-
-
-@given(polys, st.one_of(nonconstant, _monomials()))
-def test_reduced_form_for_polynomial_denominators(p, q):
-    """A denominator c*a^d is reduced; any other one is refused."""
-    if not _is_monomial(q):
-        with pytest.raises(NonMonomialDenominator):
-            RatFunc(p, q)
-        return
-    r = RatFunc(p, q)
-    assert r.den.leading == Fraction(1)
-    assert r.num * q == p * r.den
-    if r.is_zero:
-        assert r.den == ONE
-    else:
-        assert poly_gcd(r.num, r.den) == ONE
 
 
 # ---- int-or-Fraction coefficients against an all-Fraction oracle ----
@@ -187,24 +159,11 @@ def test_serialisations_store_the_same_form(x):
     assert _stored(AlphaPoly.from_json(p.to_json())) == _trim(x)
 
 
-@given(raw_polys, _monomials())
-def test_non_monic_denominator_is_normalised(x, y):
-    b = _trim(y.coeffs)
-    r = RatFunc(AlphaPoly(x), y)
-    num, den = _stored(r.num), _stored(r.den)
-    assert den[-1] == 1
-    assert _o_mul(num, b) == _o_mul(_trim(x), den)
-
-
-@given(raw_polys, _monomials(), coeffs)
-def test_eval_at_returns_a_fraction(x, y, point):
-    p = AlphaPoly(x)
-    value = p(point)
+@given(raw_polys, coeffs)
+def test_eval_at_returns_a_fraction(x, point):
+    value = AlphaPoly(x)(point)
     assert type(value) is Fraction
     assert value == _o_eval(_trim(x), Fraction(point))
-    r = RatFunc(p, y)
-    if r.den(point) != 0:
-        assert type(r.eval_at(point)) is Fraction
 
 
 def test_float_coefficients_are_refused():
@@ -239,20 +198,6 @@ def test_bool_is_a_coefficient_of_one():
     assert _stored(AlphaPoly((1, 2)) * True) == (1, 2)
 
 
-@given(raw_polys, _monomials(), scalars)
-def test_ratfunc_scalar_paths_against_the_general_form(x, y, c):
-    r = RatFunc(AlphaPoly(x), y)
-    want_num = _o_mul(_trim(r.num.coeffs), (Fraction(c),))
-    want_den = _trim(r.den.coeffs) if want_num else (Fraction(1),)
-    for scaled in (r * c, c * r):
-        assert _stored(scaled.num) == want_num
-        assert _stored(scaled.den) == want_den
-        assert scaled == RatFunc(r.num * AlphaPoly(c), r.den)
-    for other in (r, AlphaPoly(x), y):
-        with pytest.raises(TypeError):
-            r * other
-
-
 # ---- monomial denominators c*a^d and known factors, reduced without Euclid ----
 
 def _assert_no_euclid():
@@ -261,16 +206,31 @@ def _assert_no_euclid():
         assert not hasattr(AlphaPoly, name), name
 
 
+def _check_quotient(num, factors, scale):
+    """_quotient is the oracle's reduced numerator when the oracle's
+    reduced denominator is 1, and raises NotPolynomial otherwise."""
+    den = AlphaPoly(scale)
+    for (p, q), m in factors.items():
+        den = den * AlphaPoly((p, q)) ** m
+    want_num, want_den = reduced(num, den)
+    _assert_no_euclid()
+    if want_den != ONE:
+        with pytest.raises(NotPolynomial):
+            _quotient(list(num.coeffs), factors, scale)
+        return
+    assert _stored(_quotient(list(num.coeffs), factors, scale)) == want_num.coeffs
+
+
 @st.composite
 def _over_monomial(draw, relation):
-    """(num, d) with num's order at 0 below, equal to or above d >= 1."""
+    """(num, d) with num an integer polynomial whose order at 0 is below,
+    equal to or above d >= 1."""
     d = draw(st.integers(min_value=1, max_value=4))
     order = {"below": st.integers(min_value=0, max_value=d - 1),
              "equal": st.just(d),
              "above": st.integers(min_value=d + 1, max_value=d + 3)}[relation]
-    head = draw(st.one_of(st.integers(min_value=-30, max_value=30), nonzero)
-                .filter(bool))
-    tail = draw(raw_polys)
+    head = draw(st.integers(min_value=-30, max_value=30).filter(bool))
+    tail = draw(st.lists(st.integers(min_value=-30, max_value=30), max_size=6))
     return AlphaPoly([0] * draw(order) + [head] + tail), d
 
 
@@ -278,34 +238,8 @@ def _over_monomial(draw, relation):
 @given(data=st.data())
 def test_monomial_denominator_matches_the_gcd_reduction(relation, data):
     num, d = data.draw(_over_monomial(relation))
-    c = data.draw(st.one_of(st.integers(min_value=-30, max_value=30), nonzero)
-                  .filter(bool))
-    den = AlphaPoly([0] * d + [c])
-    want_num, want_den = reduced(num, den)
-    _assert_no_euclid()
-    r = RatFunc(num, den)
-    assert _stored(r.num) == want_num.coeffs
-    assert _stored(r.den) == want_den.coeffs
-
-
-@given(data=st.data())
-def test_known_factors_match_the_gcd_reduction(data):
-    """An integer polynomial times a sub-multiset of the Cauchy denominator's
-    factors, over that denominator, reduced without Euclid."""
-    n = data.draw(st.integers(min_value=1, max_value=6))
-    factors, scale, _, _ = _cauchy_cofactors(n)
-    num = AlphaPoly(data.draw(st.lists(st.integers(min_value=-30, max_value=30),
-                                       max_size=6)))
-    den = AlphaPoly(scale)
-    for (p, q), m in sorted(factors.items()):
-        factor = AlphaPoly((p, q))
-        num = num * factor ** data.draw(st.integers(min_value=0, max_value=m))
-        den = den * factor ** m
-    want_num, want_den = reduced(num, den)
-    _assert_no_euclid()
-    r = _quotient(list(num.coeffs), factors, scale)
-    assert _stored(r.num) == want_num.coeffs
-    assert _stored(r.den) == want_den.coeffs
+    c = data.draw(st.integers(min_value=-30, max_value=30).filter(bool))
+    _check_quotient(num, {(0, 1): d}, c)
 
 
 @st.composite
@@ -326,14 +260,36 @@ def _over_the_linear_part(draw):
 
 @given(_over_the_linear_part())
 def test_packed_division_by_the_linear_part_matches_the_gcd_reduction(case):
-    num, factors, scale = case
-    den = AlphaPoly(scale)
-    for (p, q), m in factors.items():
-        den = den * AlphaPoly((p, q)) ** m
-    want_num, want_den = reduced(num, den)
-    r = _quotient(list(num.coeffs), factors, scale)
-    assert _stored(r.num) == want_num.coeffs
-    assert _stored(r.den) == want_den.coeffs
+    _check_quotient(*case)
+
+
+@st.composite
+def _over_known_factors(draw):
+    """(num, factors, scale): the degree-n Cauchy denominator's linear
+    factors, n <= 7, with a to a drawn power d <= 4, over a drawn integer
+    scale; num an integer polynomial Q times a sub-multiset of the factors,
+    or times all of them with a to a power d to d + 2, so that D divides
+    num, misses it by one factor, or leaves more of D over."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    cauchy, _, _, _ = _cauchy_cofactors(n)
+    factors = dict(cauchy)
+    factors[(0, 1)] = draw(st.integers(min_value=0, max_value=4))
+    scale = draw(st.integers(min_value=-30, max_value=30).filter(bool))
+    num = AlphaPoly(draw(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                                  max_size=8)))
+    whole = draw(st.booleans())
+    for (p, q), m in sorted(factors.items()):
+        if not whole:
+            m = draw(st.integers(min_value=0, max_value=m))
+        elif (p, q) == (0, 1):
+            m += draw(st.integers(min_value=0, max_value=2))
+        num = num * AlphaPoly((p, q)) ** m
+    return num, factors, scale
+
+
+@given(_over_known_factors())
+def test_known_factors_match_the_gcd_reduction(case):
+    _check_quotient(*case)
 
 
 def test_packed_division_declines_a_zero_remainder_it_cannot_prove():
@@ -349,5 +305,5 @@ def test_packed_division_declines_a_zero_remainder_it_cannot_prove():
     assert _divide_packed([-7, 2], lin, 3) is None
     assert _divide_packed([1, 2, 1], lin, 2) == [1, 1]
     assert _divide_packed([1, 2, 1], lin, 8) == [1, 1]
-    r = _quotient([0, 5], {(1, 1): 1}, 1)
-    assert (r.num, r.den) == (AlphaPoly((0, 5)), AlphaPoly((1, 1)))
+    with pytest.raises(NotPolynomial):
+        _quotient([0, 5], {(1, 1): 1}, 1)
