@@ -1,9 +1,10 @@
 """Exact arithmetic in the deformation parameter.
 
 AlphaPoly is a dense polynomial in one indeterminate (printed as "a") with
-rational coefficients, each stored as an int when it is integral and as a
-Fraction only when it is not, so integer polynomials add and multiply in
-plain big-int arithmetic.  The ring has no general division.  The hot
+int coefficients, so it adds and multiplies in plain big-int arithmetic:
+the Jack characters are integer polynomials (Knop and Sahi), and so is
+every connection coefficient computed here (see below); a value that is
+not raises NotPolynomial.  The ring has no general division.  The hot
 loops skip the polynomial objects and work on integer coefficient lists:
 _addmul accumulates a scaled, shifted list into another, _linear_list
 multiplies out a product of linear factors q*a + p, _divide_linear is the
@@ -31,9 +32,8 @@ factors of its common denominator.  RatFunc, the former readout type, is
 kept as a name only: an AlphaPoly subclass that adds nothing.
 """
 
-from fractions import Fraction
+import math
 from functools import lru_cache
-from numbers import Number
 
 from .errors import BadExponent, InexactDivision, NotPolynomial
 
@@ -41,30 +41,27 @@ __all__ = ["AlphaPoly", "RatFunc", "ALPHA", "ONE", "substitute_beta"]
 
 
 def _coeff(x):
-    """x as an int when it is integral, else as a Fraction."""
-    if isinstance(x, Fraction):
-        return x.numerator if x.denominator == 1 else x
+    """x as a plain int; any other type raises TypeError."""
     if isinstance(x, int):
         return int(x)
-    raise TypeError("expected int or Fraction, got %r" % (x,))
+    raise TypeError("expected int, got %r" % (x,))
 
 
 class AlphaPoly:
     """Coefficients ascending by degree; the zero polynomial stores nothing.
 
-    Each stored coefficient is an int or a Fraction whose denominator is
-    not 1; the constructor normalises every coefficient to that form, and
-    the ring operations build their results through _poly, which does the
-    same without the constructor's type checks.
+    Each stored coefficient is a plain int; the constructor checks every
+    coefficient, and the ring operations build their results through
+    _poly, which skips the checks.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        if isinstance(coeffs, Number):
-            coeffs = (coeffs,)
-        elif isinstance(coeffs, AlphaPoly):
+        if isinstance(coeffs, AlphaPoly):
             coeffs = coeffs.coeffs
+        elif not hasattr(coeffs, "__iter__"):
+            coeffs = (coeffs,)
         cs = [c if type(c) is int else _coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -89,14 +86,6 @@ class AlphaPoly:
         return self.coeffs[-1] if self.coeffs else 0
 
     # ---- ring operations ----
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, AlphaPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return AlphaPoly((other,))
-        return None
 
     def __add__(self, other):
         b = _operand(other)
@@ -157,7 +146,7 @@ class AlphaPoly:
 
     def __call__(self, x):
         x = _coeff(x)
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
@@ -176,10 +165,10 @@ class AlphaPoly:
     # ---- comparisons ----
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = _operand(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.coeffs == o
 
     def __hash__(self):
         if len(self.coeffs) <= 1:
@@ -207,43 +196,42 @@ class AlphaPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
     def to_json(self):
-        return [[str(c.numerator), str(c.denominator)] for c in self.coeffs]
+        """Each coefficient as the pair [numerator, "1"]."""
+        return [[str(c), "1"] for c in self.coeffs]
 
     @classmethod
     def from_json(cls, data):
-        return cls([Fraction(int(num), int(den)) for num, den in data])
+        """The polynomial that to_json wrote.  The input is read from
+        outside the program, so a "den" other than 1 raises NotPolynomial."""
+        for num, den in data:
+            if int(den) != 1:
+                raise NotPolynomial("coefficient %s/%s is not an integer" % (num, den))
+        return cls([int(num) for num, _ in data])
 
     def __repr__(self):
         return "AlphaPoly(%s)" % self.to_text()
 
 
 def _poly(cs):
-    """AlphaPoly over a coefficient list that the arithmetic below computed.
-
-    Every entry is already an int or a Fraction, so the public
-    constructor's type checks are skipped: an integral Fraction becomes its
-    int and trailing zeros are dropped.
-    """
+    """AlphaPoly over an int list that the arithmetic below computed,
+    trailing zeros dropped, without the constructor's checks."""
     while cs and not cs[-1]:
         cs.pop()
     p = object.__new__(AlphaPoly)
-    p.coeffs = tuple([c if type(c) is int or c.denominator != 1
-                      else c.numerator for c in cs])
+    p.coeffs = tuple(cs)
     return p
 
 
 def _operand(other):
-    """other's coefficients as a sequence, or None when it is no polynomial.
+    """other's coefficients as a tuple, or None when it is no polynomial.
 
-    A bare int or Fraction is taken as it is, unwrapped; other operand
-    types go through AlphaPoly._coerce.
+    An int is the only scalar, taken unwrapped as a constant.
     """
-    if type(other) is AlphaPoly:
+    if isinstance(other, AlphaPoly):
         return other.coeffs
-    if type(other) is int or type(other) is Fraction:
-        return (other,)
-    other = AlphaPoly._coerce(other)
-    return None if other is None else other.coeffs
+    if isinstance(other, int):
+        return (int(other),) if other else ()
+    return None
 
 
 def _difference(a, b):
@@ -408,8 +396,9 @@ def _quotient(num, factors, scale):
     a goes with num's zero low coefficients.  The product L of the others
     goes by _divide_packed at the width of Mignotte's bound 2^deg |num|_1
     on the factors of num, which finds the quotient whenever L divides
-    num, so a decline is exact.  The error names what is left over: a^k,
-    or L.  scale divides each coefficient, exactly where it can.
+    num, so a decline is exact.  scale divides each coefficient last.  The
+    error names what is left over: a^k, L, or the integer that scale
+    leaves over the content of num.
     """
     while num and not num[-1]:
         num.pop()
@@ -432,8 +421,10 @@ def _quotient(num, factors, scale):
             raise NotPolynomial("%s is left in the denominator"
                                 % AlphaPoly(lin).to_text())
         num = quo
-    return _poly([c // scale if c % scale == 0 else Fraction(c, scale)
-                  for c in num])
+    if any(c % scale for c in num):
+        raise NotPolynomial("%d is left in the denominator"
+                            % (abs(scale) // math.gcd(scale, *num)))
+    return _poly([c // scale for c in num])
 
 
 def _require_poly(p):

@@ -12,7 +12,7 @@ import json
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .algebra import _poly_json, substitute_beta
 from .connection import (

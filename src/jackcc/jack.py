@@ -25,17 +25,16 @@ delta j_lam (Stanley 1989; Macdonald VI.10).  gram_entry reads a pairing
 of two rows from the Gram matrix of their degree, built once per degree:
 every theta is packed once at alpha = 2^B, one width B proven for the
 whole degree, and each pairing is one sum of big-int products, unpacked
-once.  inner_product is the general pairing of any two vectors.
+once.  inner_product is the general pairing of any two vectors, whose
+coefficients, like every AlphaPoly's, are integers.
 """
 
-import math
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from .algebra import (
-    AlphaPoly, _addmul, _divide_int, _divide_linear, _linear_list, _pack,
-    _poly, _unpack, _width,
+    _addmul, _divide_int, _divide_linear, _linear_list, _pack, _poly, _unpack,
+    _width,
 )
 from .config import check_degree
 from .errors import DegenerateSystem, DegreeMismatch
@@ -221,9 +220,7 @@ def inner_product(u, v):
 
     The sum runs packed at alpha = 2^B: each shared mu adds
     z_mu P(c) P(c') 2^(B len(mu)), P = algebra._pack, and one _unpack reads
-    the coefficients off.  Fractions are cleared first by the lcm L of
-    their denominators (L = 1 for Jack rows), so the packed sum is L^2
-    times the pairing.  No coefficient of it exceeds the sum of
+    the coefficients off.  No coefficient of the pairing exceeds the sum of
     z_mu |c|_1 |c'|_1, and B is the _width of that bound.
     """
     if u.degree != v.degree:
@@ -237,20 +234,7 @@ def inner_product(u, v):
             shared.append((z, len(mu), c.coeffs, other.coeffs))
             bound += (z * sum(map(abs, c.coeffs))
                       * sum(map(abs, other.coeffs)))
-    scale = 1
-    if type(bound) is not int:
-        # some shared coefficient is a Fraction (an AlphaPoly stores no
-        # integral one), and a sum with a Fraction in it stays one
-        scale = math.lcm(*{x.denominator for _, _, c, d in shared
-                           for x in c + d if type(x) is not int})
-        shared = [(z, l, [(x * scale).numerator for x in c],
-                   [(x * scale).numerator for x in d])
-                  for z, l, c, d in shared]
-        bound = (bound * scale * scale).numerator
     B = _width(bound)
     total = sum((z * _pack(c, B) * _pack(d, B)) << (B * l)
                 for z, l, c, d in shared)
-    cs = _unpack(total, B)
-    if scale != 1:
-        cs = [Fraction(x, scale * scale) for x in cs]
-    return AlphaPoly(cs)
+    return _poly(_unpack(total, B))

@@ -1,12 +1,13 @@
 """Homogeneous symmetric functions on the power-sum basis.
 
 Vectors are sparse maps from partitions of a fixed degree to AlphaPoly
-coefficients: Jack characters, D and the alpha-scaled bracket tower are all
-polynomial in alpha, and a JSON coefficient with a denominator raises
-NotPolynomial.  The differential operators rewrite partition keys directly:
-d/dp_i applied to a monomial with m_i parts of size i contributes the
-factor m_i and removes one part, so every operator below reduces to
-integer multiplicity bookkeeping on the key, done for D once per key.
+coefficients, integer polynomials in alpha: Jack characters, D and the
+alpha-scaled bracket tower all keep them so, and a JSON coefficient with a
+denominator raises NotPolynomial.  The differential operators rewrite
+partition keys directly: d/dp_i applied to a monomial with m_i parts of
+size i contributes the factor m_i and removes one part, so every operator
+below reduces to integer multiplicity bookkeeping on the key, done for D
+once per key.
 The constructor checks every key and coefficient; the operators, whose
 keys are Partitions of the right degree already, build through _vector.
 
@@ -19,7 +20,6 @@ is read.  The bracket tower's operator runs in Horner order in D.
 """
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
@@ -182,25 +182,15 @@ def _row_bound(n):
 
 
 def _packed(v, growth):
-    """v's coefficients cleared by the lcm L of their denominators and
-    packed at a = 2^W, W the _width of growth * ||L v||_1: the dict
-    {mu: packed}, W and L."""
-    L = math.lcm(*{c.denominator for p in v.terms.values() for c in p.coeffs
-                   if type(c) is not int})
-    lists = [(mu, [(c * L).numerator for c in p.coeffs]) for mu, p in v.terms.items()]
-    W = _width(growth * sum(sum(map(abs, cs)) for _, cs in lists))
-    return {mu: _pack(cs, W) for mu, cs in lists}, W, L
+    """v's coefficients packed at a = 2^W, W the _width of
+    growth * ||v||_1: the dict {mu: packed} and W."""
+    W = _width(growth * sum(sum(map(abs, p.coeffs)) for p in v.terms.values()))
+    return {mu: _pack(p.coeffs, W) for mu, p in v.terms.items()}, W
 
 
-def _unpacked(degree, packed, W, L):
-    """The vector of the packed coefficients, each divided by L."""
-    out = {}
-    for nu, x in packed.items():
-        cs = _unpack(x, W)
-        if L != 1:
-            cs = [c // L if c % L == 0 else Fraction(c, L) for c in cs]
-        out[nu] = _poly(cs)
-    return _vector(degree, out)
+def _unpacked(degree, packed, W):
+    """The vector of the packed coefficients."""
+    return _vector(degree, {nu: _poly(_unpack(x, W)) for nu, x in packed.items()})
 
 
 def _D_pass(packed, W):
@@ -227,10 +217,9 @@ def apply_D(v):
     by the triangle inequality no coefficient of D v exceeds R ||v||_1,
     ||v||_1 the sum of the absolute coefficients of v and R the largest
     row sum of |A| + |B| at v's degree (_row_bound), and W is its _width.
-    A Fraction coefficient is cleared first by the lcm of the denominators.
     """
-    packed, W, L = _packed(v, _row_bound(v.degree))
-    return _unpacked(v.degree, _D_pass(packed, W), W, L)
+    packed, W = _packed(v, _row_bound(v.degree))
+    return _unpacked(v.degree, _D_pass(packed, W), W)
 
 
 def apply_alpha_Delta(l, v):
@@ -252,7 +241,7 @@ def apply_alpha_Delta(l, v):
     """
     if l < 0:
         raise NegativeOrder("negative bracket depth %d" % l)
-    packed, W, L = _packed(v, (2 * _row_bound(v.degree + 1)) ** l)
+    packed, W = _packed(v, (2 * _row_bound(v.degree + 1)) ** l)
     powers = [packed]
     for _ in range(l):
         powers.append(_D_pass(powers[-1], W))
@@ -266,7 +255,7 @@ def apply_alpha_Delta(l, v):
             # a part 1 appended to a Partition keeps it weakly decreasing
             nu = tuple.__new__(Partition, mu + (1,))
             total[nu] = get(nu, 0) + c * x
-    return _unpacked(v.degree + 1, total, W, L)
+    return _unpacked(v.degree + 1, total, W)
 
 
 @lru_cache(maxsize=None)

@@ -595,29 +595,46 @@ def test_input_checks_in_optimized_mode():
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
-def _is_thread_import(node):
+def _imported_roots(node):
+    """The top-level modules that an absolute import statement names; the
+    empty set for a relative import or any other node."""
     if isinstance(node, ast.Import):
-        names = [alias.name for alias in node.names]
-    elif isinstance(node, ast.ImportFrom):
-        names = [node.module or ""]
-    else:
-        return False
-    return any(name.split(".")[0] in ("threading", "concurrent") for name in names)
+        return {alias.name.split(".")[0] for alias in node.names}
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return {node.module.split(".")[0]}
+    return set()
 
 
 def test_no_assert_in_package_source():
     # python -O strips assert statements, so no check may live in one; and
     # the package runs serially, so it imports neither threading nor
     # concurrent.futures
-    src = os.path.dirname(os.path.abspath(jackcc.__file__))
-    found = []
-    for path in sorted(glob.glob(os.path.join(src, "*.py"))):
-        with open(path, encoding="utf-8") as handle:
-            tree = ast.parse(handle.read(), filename=path)
-        found += ["%s:%d" % (os.path.basename(path), node.lineno)
-                  for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert) or _is_thread_import(node)]
+    found = ["%s:%d" % (module, node.lineno)
+             for module, tree in _package_trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Assert)
+             or _imported_roots(node) & {"threading", "concurrent"}]
     assert found == []
+
+
+def test_the_package_holds_no_fraction():
+    # every coefficient is an int: no module imports fractions or numbers,
+    # and the CLI imported in an isolated interpreter loads neither, nor
+    # decimal, which fractions imports
+    found = ["%s:%d" % (module, node.lineno)
+             for module, tree in _package_trees().items()
+             for node in ast.walk(tree)
+             if _imported_roots(node) & {"fractions", "numbers"}]
+    assert found == []
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jackcc.__file__)))
+    probe = ("import sys\n"
+             "sys.path.insert(0, %r)\n"
+             "import jackcc.cli\n"
+             "print(sorted({'fractions', 'decimal', 'numbers'} & set(sys.modules)))\n"
+             % src)
+    done = _python("-I", "-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 _API_MODULES = ("algebra", "partitions", "psum", "jack", "connection",

@@ -2,9 +2,9 @@ import hashlib
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -18,7 +18,9 @@ from algebra_oracle import reduced
 from connection_oracle import bracket as oracle_bracket
 from connection_oracle import generator_properties as oracle_generator_properties
 from connection_oracle import thm_rec_sides as oracle_thm_rec_sides
-from jackcc.algebra import ALPHA, ONE, AlphaPoly, RatFunc, _unpack, _width, substitute_beta
+from jackcc.algebra import (
+    ALPHA, ONE, AlphaPoly, RatFunc, _linear_product, _unpack, _width, substitute_beta,
+)
 from jackcc.connection import (
     a_cauchy, a_lr, a_nn_recurrence, generator_properties, pivot_values,
     thm_rec_sides, verify_i_independence, verify_thm_rec,
@@ -26,7 +28,8 @@ from jackcc.connection import (
 from jackcc.errors import DegreeMismatch, EmptyPartition, NotPolynomial
 from jackcc.jack import JackTable, jack_table
 from jackcc.partitions import (
-    Partition, down_k, down_kl, generate_partitions, hooks, up_k, z_aut_class,
+    Partition, down_k, down_kl, generate_partitions, hook_factors, hooks, up_k,
+    z_aut_class,
 )
 from jackcc.psum import PSumVector, apply_alpha_Delta, psum_unit
 
@@ -100,23 +103,21 @@ def test_bracket_matches_the_ring_oracle(monkeypatch):
                 assert all(type(c) is int for c in got.coeffs), (lam, pos)
 
 
-def test_bracket_returns_integral_fraction_sums_as_int():
-    """A coefficient_of with Fraction coefficients: the list sum equals the
-    ring oracle, and each integral coefficient comes back as an int."""
+def test_bracket_sums_any_integer_coefficients():
+    """A coefficient_of other than the recurrence's: about 20-digit
+    coefficients of both signs, zero polynomials among them, drawn per
+    partition.  The list sum equals the ring oracle and holds ints."""
     def coefficient_of(rho):
-        return AlphaPoly([Fraction(c, len(rho) + 1)
-                          for c in jackcc.connection._a_nn(rho).coeffs])
+        rng = random.Random(rho.to_text())
+        return AlphaPoly([rng.randrange(-10 ** 20, 10 ** 20)
+                          for _ in range(rng.randint(0, 5))])
 
-    seen = set()
     for n in range(2, 8):
         for lam in generate_partitions(n):
             for pos in range(len(lam)):
                 got = jackcc.connection._bracket(lam, pos, coefficient_of)
                 assert got == oracle_bracket(lam, pos, coefficient_of), (lam, pos)
-                for c in got.coeffs:
-                    assert type(c) is (int if c.denominator == 1 else Fraction)
-                    seen.add(type(c))
-    assert seen == {int, Fraction}
+                assert all(type(c) is int for c in got.coeffs), (lam, pos)
 
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
@@ -311,19 +312,18 @@ def test_tower_stages_match_the_binomial_oracle():
 
 
 def test_gamma_tower():
-    # the normalized tower grown from p_1/alpha, times alpha^n at degree n:
-    # each stage is apply_alpha_Delta over its new degree
+    # the tower grown from p_1/alpha, times n! alpha^n at degree n, so that
+    # every stage stays an integer vector; the normalized tower is this
+    # over n!.  Each stage is apply_alpha_Delta over its new degree
     g1 = psum_unit(P([1]))
-    assert (apply_alpha_Delta(1, g1).scale(Fraction(1, 2))
-            == PSumVector(2, {P([2]): ALPHA * Fraction(1, 2)}))
-    g2 = apply_alpha_Delta(2, g1).scale(Fraction(1, 2))
-    want = PSumVector(2, {P([2]): ALPHA * (ALPHA - 1) * Fraction(1, 2),
-                          P([1, 1]): ALPHA * Fraction(1, 2)})
+    assert apply_alpha_Delta(1, g1) == PSumVector(2, {P([2]): ALPHA})
+    g2 = apply_alpha_Delta(2, g1)
+    want = PSumVector(2, {P([2]): ALPHA * (ALPHA - 1), P([1, 1]): ALPHA})
     assert g2 == want
-    g3 = apply_alpha_Delta(2, g2).scale(Fraction(1, 3))
+    g3 = apply_alpha_Delta(2, g2)
     readout = g3.coeff(P([3]))
     z = z_aut_class(P([3]))[0]
-    assert readout * z * ALPHA == a_nn_recurrence(P([3])) * ALPHA ** 3
+    assert readout * z * ALPHA == a_nn_recurrence(P([3])) * ALPHA ** 3 * 6
 
 
 def test_generator_properties_examples():
@@ -613,27 +613,37 @@ def test_cold_cauchy_makes_no_ring_product_and_packs_once(monkeypatch, cold_cauc
 
 def test_cauchy_skips_a_vanishing_character(monkeypatch, cold_cauchy):
     """No character vanishes for n <= 7, so one is removed from a copy of
-    the degree-4 table; a value that stops being a polynomial, by the
-    oracle's gcd, raises NotPolynomial, and every other one is exact."""
+    the degree-4 table; a value that stops being an integer polynomial, by
+    the oracle's gcd, raises NotPolynomial, and every other one is exact.
+    A second copy adds j_(3,1)/4, the linear part of j_(3,1), to
+    theta_(3,1)((3,1)): no denominator is left, but some values then have
+    a rational coefficient, and those are refused as well."""
     table = jack_table(4)
-    rows = dict(table.rows)
     gamma, gone = P([2, 2]), P([3, 1])
-    rows[gamma] = PSumVector(4, {mu: c for mu, c in rows[gamma].terms.items()
-                                 if mu != gone})
-    patched = JackTable(4, rows)
-    monkeypatch.setattr(jackcc.connection, "jack_table", lambda n: patched)
+    vanished = dict(table.rows)
+    vanished[gamma] = PSumVector(4, {mu: c for mu, c in table.rows[gamma].terms.items()
+                                     if mu != gone})
+    raised = dict(table.rows)
+    linear = AlphaPoly(_linear_product(tuple(hook_factors(gone)[1].items())))
+    raised[gone] = table.rows[gone] + PSumVector(4, {gone: linear})
     parts = generate_partitions(4)
-    seen_fraction = False
-    for lam in parts:
-        for others in ((gone,), (P([4]), gone), (gone, gone, P([2, 1, 1]))):
-            want = _per_gamma_cauchy(lam, others, patched)
-            if reduced(*want)[1] != ONE:
-                seen_fraction = True
-                with pytest.raises(NotPolynomial):
-                    a_cauchy(lam, others)
-                continue
-            assert _equals_pair(a_cauchy(lam, others), want), (lam, others)
-    assert seen_fraction
+    refused = set()
+    for rows in (vanished, raised):
+        for cache in _cauchy_caches().values():
+            cache.cache_clear()
+        patched = JackTable(4, rows)
+        monkeypatch.setattr(jackcc.connection, "jack_table", lambda n: patched)
+        for lam in parts:
+            for others in ((gone,), (P([4]), gone), (gone, gone, P([2, 1, 1]))):
+                want = _per_gamma_cauchy(lam, others, patched)
+                num, den = reduced(*(p.coeffs for p in want))
+                if den != (1,) or any(c.denominator != 1 for c in num):
+                    refused.add("denominator" if den != (1,) else "rational")
+                    with pytest.raises(NotPolynomial):
+                        a_cauchy(lam, others)
+                    continue
+                assert _equals_pair(a_cauchy(lam, others), want), (lam, others)
+    assert refused == {"denominator", "rational"}
 
 
 def test_cauchy_runs_no_euclid(cold_cauchy):

@@ -1,8 +1,8 @@
 """Property tests for the coefficient ring and the exact quotient.
 
-AlphaPoly stores an integral coefficient as an int and any other as a
-Fraction; the oracle below redoes every operation on plain Fraction lists,
-and _quotient is checked against Euclid from algebra_oracle.
+AlphaPoly stores int coefficients only; the oracle below redoes every
+operation on plain Fraction tuples, and _quotient is checked against
+Euclid over the rationals from algebra_oracle.
 """
 
 import math
@@ -15,51 +15,55 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import jackcc.algebra
-from algebra_oracle import poly_gcd, reduced
+from algebra_oracle import poly_divmod, poly_gcd, reduced, trim
 from jackcc.algebra import (
-    ONE, AlphaPoly, RatFunc, _divide_linear, _divide_packed, _pack, _quotient,
+    AlphaPoly, RatFunc, _divide_linear, _divide_packed, _pack, _quotient,
 )
 from jackcc.connection import _cauchy_cofactors
 from jackcc.errors import InexactDivision, NotPolynomial
 
-fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-nonzero = fractions.filter(bool)
-polys = st.lists(fractions, max_size=6).map(AlphaPoly)
+ints = st.integers(min_value=-30, max_value=30)
+int_lists = st.lists(ints, max_size=6)
 
 
-@given(st.lists(st.integers(min_value=-30, max_value=30), max_size=6),
-       st.integers(min_value=-30, max_value=30).filter(bool))
-def test_constant_denominator_is_a_scaling(x, c):
-    want = _o_mul(_trim(x), (Fraction(1, c),))
-    assert _stored(_quotient(list(x), {}, c)) == want
-    assert _stored(_quotient(list(x), {(0, 1): 0, (1, 1): 0}, c)) == want
+@given(int_lists, ints.filter(bool), st.booleans())
+def test_constant_denominator_is_a_scaling(x, c, multiple):
+    """x/c is the oracle's quotient when c divides every coefficient; else
+    NotPolynomial names c over the content of x, the lcm of the oracle's
+    denominators.  Half the draws are multiples of c."""
+    if multiple:
+        x = [v * c for v in x]
+    want = _o_mul(trim(x), (Fraction(1, c),))
+    left = math.lcm(*(w.denominator for w in want))
+    for factors in ({}, {(0, 1): 0, (1, 1): 0}):
+        if left == 1:
+            assert _stored(_quotient(list(x), factors, c)) == want
+        else:
+            with pytest.raises(NotPolynomial, match="^%d is left" % left):
+                _quotient(list(x), factors, c)
 
 
-@given(polys, nonzero)
+@given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                max_size=6),
+       st.fractions(min_value=-20, max_value=20, max_denominator=12).filter(bool))
 def test_gcd_with_a_constant_is_one(p, c):
-    # the test oracle's Euclid, which the reduction checks rely on
-    if not p.is_zero:
-        assert poly_gcd(p, AlphaPoly(c)) == ONE
-        assert poly_gcd(AlphaPoly(c), p) == ONE
+    # the test oracle's Euclid over the rationals, which the reduction
+    # checks rely on
+    if trim(p):
+        assert poly_gcd(p, (c,)) == (1,)
+        assert poly_gcd((c,), p) == (1,)
 
 
-# ---- int-or-Fraction coefficients against an all-Fraction oracle ----
+# ---- int coefficients against an all-Fraction oracle ----
 
-coeffs = st.one_of(st.integers(min_value=-30, max_value=30), fractions)
+coeffs = st.one_of(ints, st.integers(min_value=-10 ** 30, max_value=10 ** 30))
 raw_polys = st.lists(coeffs, max_size=6)
-
-
-def _trim(cs):
-    out = [Fraction(c) for c in cs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def _o_add(a, b):
     n = max(len(a), len(b))
-    return _trim([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
-                  for k in range(n)])
+    return trim([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
+                 for k in range(n)])
 
 
 def _o_neg(a):
@@ -71,18 +75,7 @@ def _o_mul(a, b):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return _trim(out)
-
-
-def _o_divmod(a, b):
-    rem = list(a)
-    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    for k in reversed(range(len(quo))):
-        c = rem[k + len(b) - 1] / b[-1]
-        quo[k] = c
-        for j, y in enumerate(b):
-            rem[k + j] -= c * y
-    return _trim(quo), _trim(rem)
+    return trim(out)
 
 
 def _o_shift(a, c):
@@ -100,24 +93,20 @@ def _o_eval(a, x):
 
 
 def _stored(p):
-    """p's coefficients, after checking each is an int or a proper Fraction."""
+    """p's coefficients, after checking that each is a plain int."""
     for c in p.coeffs:
-        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+        assert type(c) is int, c
     return p.coeffs
 
 
 @given(raw_polys, raw_polys)
 def test_ring_operations_against_the_oracle(x, y):
     p, q = AlphaPoly(x), AlphaPoly(y)
-    a, b = _trim(x), _trim(y)
+    a, b = trim(x), trim(y)
     assert _stored(p) == a
     assert _stored(p + q) == _o_add(a, b)
     assert _stored(p - q) == _o_add(a, _o_neg(b))
     assert _stored(p * q) == _o_mul(a, b)
-
-
-ints = st.integers(min_value=-30, max_value=30)
-int_lists = st.lists(ints, max_size=6)
 
 
 @st.composite
@@ -133,10 +122,9 @@ def test_division_against_the_oracle(x, y, factor):
     """The exact linear division, on a multiple of the factor and on any
     integer polynomial, against the long division of the oracle."""
     p, q = factor
-    lin = (Fraction(p), Fraction(q))
     multiple = list((AlphaPoly(x) * AlphaPoly((p, q))).coeffs)
-    assert _stored(AlphaPoly(_divide_linear(multiple, p, q))) == _trim(x)
-    quo, rem = _o_divmod(_trim(y), lin)
+    assert _stored(AlphaPoly(_divide_linear(multiple, p, q))) == trim(x)
+    quo, rem = poly_divmod(y, (p, q))
     cs = list(AlphaPoly(y).coeffs)
     if rem:
         with pytest.raises(InexactDivision):
@@ -144,26 +132,26 @@ def test_division_against_the_oracle(x, y, factor):
     else:
         got = _divide_linear(cs, p, q)
         assert all(type(c) is int for c in got)
-        assert _trim(got) == quo
+        assert trim(got) == quo
 
 
 @given(raw_polys, coeffs)
 def test_shift_against_the_oracle(x, c):
     p = AlphaPoly(x)
-    assert _stored(p.shift(c)) == _o_shift(_trim(x), c)
+    assert _stored(p.shift(c)) == _o_shift(trim(x), c)
 
 
 @given(raw_polys)
 def test_serialisations_store_the_same_form(x):
     p = AlphaPoly(x)
-    assert _stored(AlphaPoly.from_json(p.to_json())) == _trim(x)
+    assert _stored(AlphaPoly.from_json(p.to_json())) == trim(x)
 
 
 @given(raw_polys, coeffs)
-def test_eval_at_returns_a_fraction(x, point):
+def test_eval_at_returns_an_int(x, point):
     value = AlphaPoly(x)(point)
-    assert type(value) is Fraction
-    assert value == _o_eval(_trim(x), Fraction(point))
+    assert type(value) is int
+    assert value == _o_eval(trim(x), point)
 
 
 def test_float_coefficients_are_refused():
@@ -172,30 +160,41 @@ def test_float_coefficients_are_refused():
     with pytest.raises(TypeError):
         AlphaPoly((1, 1)).shift(1.0)
     for bare in (AlphaPoly, RatFunc):
-        with pytest.raises(TypeError, match="expected int or Fraction, got 0.5"):
+        with pytest.raises(TypeError, match="expected int, got 0.5"):
             bare(0.5)
 
 
 # ---- scalar operands, which the ring never wraps in a polynomial ----
 
-scalars = st.one_of(coeffs, st.just(0), st.just(Fraction(0)))
+scalars = st.one_of(coeffs, st.just(0))
 
 
 @given(raw_polys, scalars)
 def test_scalar_operands_against_the_oracle(x, c):
-    p, a, k = AlphaPoly(x), _trim(x), (Fraction(c),)
+    p, a, k = AlphaPoly(x), trim(x), trim((c,))
     assert _stored(p * c) == _stored(c * p) == _o_mul(a, k)
     assert _stored(p + c) == _stored(c + p) == _o_add(a, k)
     assert _stored(p - c) == _o_add(a, _o_neg(k))
     assert _stored(c - p) == _o_add(k, _o_neg(a))
     assert _stored(p * AlphaPoly(c)) == _stored(AlphaPoly(c) * p) == _o_mul(a, k)
     assert _stored(-p) == _o_neg(a)
+    assert (p == c) == (a == k)
+
+
+def test_fraction_and_float_scalars_are_no_operands():
+    p = AlphaPoly((1, 2))
+    for bad in (Fraction(1, 2), Fraction(3), 0.5):
+        for op in (lambda: p + bad, lambda: bad - p, lambda: p * bad, lambda: bad * p):
+            with pytest.raises(TypeError):
+                op()
+    assert AlphaPoly(3) != Fraction(3) and AlphaPoly(3) == 3
 
 
 def test_bool_is_a_coefficient_of_one():
     assert AlphaPoly(True).coeffs == (1,)
     assert type(AlphaPoly(True).coeffs[0]) is int
     assert _stored(AlphaPoly((1, 2)) * True) == (1, 2)
+    assert _stored(AlphaPoly() + True) == (1,)
 
 
 # ---- monomial denominators c*a^d and known factors, reduced without Euclid ----
@@ -208,17 +207,18 @@ def _assert_no_euclid():
 
 def _check_quotient(num, factors, scale):
     """_quotient is the oracle's reduced numerator when the oracle's
-    reduced denominator is 1, and raises NotPolynomial otherwise."""
+    reduced denominator is 1 and the numerator's coefficients are
+    integers, and raises NotPolynomial otherwise."""
     den = AlphaPoly(scale)
     for (p, q), m in factors.items():
         den = den * AlphaPoly((p, q)) ** m
-    want_num, want_den = reduced(num, den)
+    want_num, want_den = reduced(num.coeffs, den.coeffs)
     _assert_no_euclid()
-    if want_den != ONE:
+    if want_den != (1,) or any(c.denominator != 1 for c in want_num):
         with pytest.raises(NotPolynomial):
             _quotient(list(num.coeffs), factors, scale)
         return
-    assert _stored(_quotient(list(num.coeffs), factors, scale)) == want_num.coeffs
+    assert _stored(_quotient(list(num.coeffs), factors, scale)) == want_num
 
 
 @st.composite
