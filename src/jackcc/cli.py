@@ -11,6 +11,7 @@ import io
 import json
 import sys
 import time
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
@@ -452,7 +453,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "error: %s\n" % message)
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The parser, built once per process: parse_args leaves it as it was,
+    and each call parses into a fresh namespace."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--format", choices=("text", "json", "csv"),
                         default="text")
@@ -514,8 +518,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         payload, status = args.handler(args)
         emit(payload, args.format, args.out)

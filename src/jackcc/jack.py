@@ -20,6 +20,15 @@ to 1.  The gap is q*alpha + p with q = n(lam') - n(kappa') > 0 for kappa
 below lam in dominance, so it never vanishes, though partitions such as
 (2,2,2) and (3,1,1,1) share an eigenvalue: they are not comparable.
 
+Only about half of each table is solved.  Stanley's duality (Adv. Math.
+77, 1989, Thm 3.3; Macdonald VI (10.24)), omega_alpha J_lam(alpha) =
+alpha^n J_lam'(1/alpha) with omega_alpha p_mu = (-1)^(n-len(mu))
+alpha^len(mu) p_mu, gives theta^lam'_mu(alpha) = (-1)^k alpha^k
+theta^lam_mu(1/alpha), k = n - len(mu): each coefficient list of the row of
+lam', padded to length k + 1, reversed and signed.  Of each conjugate pair
+the member later in generation order is solved, since its monomial phase
+starts lowest; self-conjugate partitions are solved as they are.
+
 The rows are orthogonal under the power-sum pairing, <J_lam, J_mu> =
 delta j_lam (Stanley 1989; Macdonald VI.10).  gram_entry reads a pairing
 of two rows from the Gram matrix of their degree, built once per degree:
@@ -39,7 +48,7 @@ from .algebra import (
 from .config import check_degree
 from .errors import DegenerateSystem, DegreeMismatch
 from .partitions import Partition, eigenvalue, generate_partitions, z_aut_class
-from .psum import PSumVector, transition_matrix
+from .psum import PSumVector, _vector, transition_matrix
 
 __all__ = ["JackTable", "jack_table", "gram_entry", "inner_product"]
 
@@ -143,16 +152,42 @@ class JackTable:
                     for r in data["rows"]})
 
 
+def _dual(row, n):
+    """The row of lam' from the row of lam: theta^lam'_mu is theta^lam_mu's
+    coefficient list padded to k + 1, k = n - len(mu), reversed and times
+    (-1)^k.  A list longer than k + 1 breaks the duality."""
+    terms = {}
+    for mu, c in row.terms.items():
+        k = n - len(mu)
+        pad = k + 1 - len(c.coeffs)
+        if pad < 0:
+            raise DegenerateSystem("theta on %s has degree %d, above %d"
+                                   % (mu.to_text(), len(c.coeffs) - 1, k))
+        sign = -1 if k % 2 else 1
+        terms[mu] = _poly([0] * pad + [sign * x for x in reversed(c.coeffs)])
+    return _vector(n, terms)
+
+
 @lru_cache(maxsize=None)
 def _build_table(n):
+    """Every row of degree n: each self-conjugate lam and the later member
+    of each conjugate pair, in generation order, by _solve_row; the
+    earlier member by _dual of its conjugate's row."""
     matrix = _d_on_monomials(n)
     transition = transition_matrix(n)
+    order = generate_partitions(n)
     eigenvalues = {}
-    for lam in generate_partitions(n):
+    for lam in order:
         e = eigenvalue(lam)
         eigenvalues[lam] = e.coeff(0), e.coeff(1)
-    return JackTable(n, {lam: _solve_row(lam, matrix, eigenvalues, transition)
-                         for lam in generate_partitions(n)})
+    rows = {}
+    for lam in reversed(order):
+        conj = lam.conjugate()
+        if conj in rows:
+            rows[lam] = _dual(rows[conj], n)
+        else:
+            rows[lam] = _solve_row(lam, matrix, eigenvalues, transition)
+    return JackTable(n, {lam: rows[lam] for lam in order})
 
 
 def jack_table(n):

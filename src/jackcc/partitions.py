@@ -11,7 +11,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
-from .algebra import ALPHA, AlphaPoly, _linear_list, _poly
+from .algebra import AlphaPoly, _linear_list, _poly
 from .config import check_degree
 from .errors import DegreeMismatch, MissingPart, NegativeOrder
 
@@ -215,13 +215,12 @@ def hook_factors(lam):
 
 
 def eigenvalue(lam):
-    """Box sum of (a*coarm - coleg), which is a*n(conjugate) - n(lam)."""
-    coarm_total = 0
-    coleg_total = 0
-    for box in Partition(lam).boxes():
-        coarm_total += box.coarm
-        coleg_total += box.coleg
-    return ALPHA * coarm_total - coleg_total
+    """Box sum of (a*coarm - coleg), which is a*n(conjugate) - n(lam):
+    a * sum lam_i (lam_i - 1) / 2 - sum (i - 1) lam_i, read off the parts."""
+    lam = Partition(lam)
+    coarm_total = sum(p * (p - 1) for p in lam) // 2
+    coleg_total = sum(i * p for i, p in enumerate(lam))
+    return _poly([-coleg_total, coarm_total])
 
 
 def theta_top(lam):

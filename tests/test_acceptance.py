@@ -9,9 +9,7 @@ import math
 import time
 from collections import Counter
 
-import pytest
-
-from jackcc.algebra import ALPHA, RatFunc, substitute_beta
+from jackcc.algebra import RatFunc, substitute_beta
 from jackcc.connection import (
     a_cauchy, a_lr, a_nn_recurrence, generator_properties,
     verify_i_independence, verify_thm_rec,
@@ -20,7 +18,7 @@ from jackcc.jack import inner_product, jack_table
 from jackcc.matchings import enumerate_good, good_matchings, is_bipartite
 from jackcc.matchings import counting_recurrence_check
 from jackcc.partitions import (
-    Partition, eigenvalue, generate_partitions, hooks, theta_top, z_aut_class,
+    Partition, eigenvalue, generate_partitions, hooks, theta_top,
 )
 from jackcc.psum import p_to_m
 

@@ -485,6 +485,25 @@ def test_help_still_exits_zero(capsys):
         assert capsys.readouterr().out.startswith("usage: jackcc")
 
 
+def test_the_parser_carries_nothing_from_one_call_to_the_next(capsys):
+    # main builds its parser once per process, so each call must start
+    # from a fresh namespace: a --with list left over from the call
+    # before would make the second call a_cauchy(2,1; 3, 3, 3), which is
+    # -4a + 6a^2 - 6a^3 + 4a^4, not 0
+    argv = ["connect", "--lambda", "2,1", "--format", "json"]
+    code, first = run(capsys, argv + ["--with", "3", "--with", "3"])
+    assert code == 0
+    assert json.loads(first)["beta"] == [["0", "1"], ["2", "1"], ["2", "1"]]
+    code, second = run(capsys, argv + ["--with", "3"])
+    assert code == 0
+    assert json.loads(second)["beta"] == []
+    assert run(capsys, argv + ["--with", "3", "--with", "3"]) == (0, first)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["connect", "--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: jackcc connect")
+
+
 def test_threads_flag_is_gone(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", "--suite", "thm-rec", "--threads", "2"])

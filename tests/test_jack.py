@@ -10,10 +10,10 @@ import pytest
 import jackcc
 from jackcc.algebra import ALPHA, AlphaPoly, RatFunc, _width
 from jackcc.cli import main
-from jackcc.errors import DegreeMismatch, DegreeTooLarge
+from jackcc.errors import DegenerateSystem, DegreeMismatch, DegreeTooLarge
 from jackcc.jack import (
-    JackTable, _d_on_monomials, _gram_width, gram_entry, inner_product,
-    jack_table,
+    JackTable, _d_on_monomials, _dual, _gram_width, _solve_row, gram_entry,
+    inner_product, jack_table,
 )
 from jackcc.partitions import (
     Partition, eigenvalue, generate_partitions, hooks, leq_dominance,
@@ -85,6 +85,38 @@ def test_collision_rows_are_distinct():
     assert a != b
     assert p_to_m(b)[P([3, 1, 1, 1])] == RatFunc(hooks(P([3, 1, 1, 1]))[0])
     assert P([4, 2]) not in p_to_m(b)
+
+
+def test_every_row_equals_a_direct_solve(monkeypatch):
+    # the table solves about half its rows and reads the rest off the
+    # omega_alpha duality; the solver must still give every row itself
+    monkeypatch.setenv("JACKCC_MAX_N", "11")
+    for n in range(1, 12):
+        matrix = _d_on_monomials(n)
+        transition = transition_matrix(n)
+        eigenvalues = {lam: (eigenvalue(lam).coeff(0), eigenvalue(lam).coeff(1))
+                       for lam in generate_partitions(n)}
+        table = jack_table(n)
+        for lam in generate_partitions(n):
+            solved = _solve_row(lam, matrix, eigenvalues, transition)
+            assert table.row(lam) == solved, lam
+            assert table.row(lam).items() == solved.items(), lam
+
+
+def test_dual_maps_a_row_to_its_conjugate_row():
+    table = jack_table(6)
+    for lam in generate_partitions(6):
+        assert _dual(table.row(lam), 6) == table.row(lam.conjugate()), lam
+        assert _dual(_dual(table.row(lam), 6), 6) == table.row(lam), lam
+
+
+def test_dual_refuses_a_coefficient_above_its_degree():
+    # theta on mu has degree at most n - len(mu): 1 on (2, 1), 0 on (1, 1, 1)
+    for mu, coeffs in (((2, 1), (1, 2, 3)), ((1, 1, 1), (0, 1))):
+        row = PSumVector(3, {P([3]): AlphaPoly((0, 0, 2)),
+                             P(mu): AlphaPoly(coeffs)})
+        with pytest.raises(DegenerateSystem, match="above"):
+            _dual(row, 3)
 
 
 def test_box_move_rule_matches_the_round_trip():

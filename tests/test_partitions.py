@@ -217,6 +217,18 @@ def test_eigenvalue_examples():
     assert eigenvalue(Partition([3, 1, 1, 1])) == collision
 
 
+def test_eigenvalue_matches_the_box_sum(monkeypatch):
+    # the closed form over the parts against the box walk it replaced
+    monkeypatch.setenv("JACKCC_MAX_N", "11")
+    for n in range(11):
+        for lam in generate_partitions(n):
+            coarm = sum(box.coarm for box in lam.boxes())
+            coleg = sum(box.coleg for box in lam.boxes())
+            e = eigenvalue(tuple(lam))
+            assert type(e) is AlphaPoly, lam
+            assert e.coeffs == (ALPHA * coarm - coleg).coeffs, lam
+
+
 def test_eigenvalue_conjugation_duality():
     for n in range(1, 8):
         for lam in generate_partitions(n):
