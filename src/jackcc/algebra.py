@@ -33,8 +33,8 @@ kept as a name only: an AlphaPoly subclass that adds nothing.
 """
 
 import math
-from functools import lru_cache
 
+from .config import cached
 from .errors import BadExponent, InexactDivision, NotPolynomial
 
 __all__ = ["AlphaPoly", "RatFunc", "ALPHA", "ONE", "substitute_beta"]
@@ -80,10 +80,6 @@ class AlphaPoly:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return 0
-
-    @property
-    def leading(self):
-        return self.coeffs[-1] if self.coeffs else 0
 
     # ---- ring operations ----
 
@@ -380,7 +376,7 @@ def _linear_list(pairs):
     return out
 
 
-@lru_cache(maxsize=None)
+@cached
 def _linear_product(factors):
     """The coefficients of prod (q*a + p)^m over the pairs ((p, q), m)."""
     return tuple(_linear_list(pq for pq, m in factors for _ in range(m)))

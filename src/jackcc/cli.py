@@ -11,11 +11,11 @@ import io
 import json
 import sys
 import time
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .algebra import _poly_json, substitute_beta
+from .config import cached
 from .connection import (
     a_cauchy, a_lr, a_nn_recurrence, generator_properties,
     pivot_values, thm_rec_sides,
@@ -453,7 +453,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, "error: %s\n" % message)
 
 
-@lru_cache(maxsize=None)
+@cached
 def build_parser():
     """The parser, built once per process: parse_args leaves it as it was,
     and each call parses into a fresh namespace."""

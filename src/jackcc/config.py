@@ -1,11 +1,23 @@
-"""Degree bound shared by the caches and the enumeration routines."""
+"""Degree bound shared by the caches and the enumeration routines, and the
+package's one cache mechanism."""
 
+import functools
 import os
-from functools import lru_cache
 
 from .errors import BadConfig, DegreeTooLarge
 
 DEFAULT_BOUND = 8
+
+CACHES = {}
+
+
+def cached(fn):
+    """fn behind an unbounded lru_cache, registered in CACHES under
+    "<module>.<qualname>", e.g. "connection._cauchy_packed".  Every cache
+    of the package is made here and lives until the process exits."""
+    cache = functools.lru_cache(maxsize=None)(fn)
+    CACHES["%s.%s" % (fn.__module__.removeprefix("jackcc."), fn.__qualname__)] = cache
+    return cache
 
 
 def degree_bound():
@@ -14,7 +26,7 @@ def degree_bound():
     return DEFAULT_BOUND if raw is None else _parse_bound(raw)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _parse_bound(raw):
     """The bound a JACKCC_MAX_N value names; a bad value raises on every call."""
     digits = raw.strip()

@@ -13,14 +13,13 @@ then call each other's cached kernels on the checked values.
 
 import math
 from collections import Counter
-from functools import lru_cache
 from operator import mul
 
 from .algebra import (
     AlphaPoly, _addmul, _divide_linear, _linear_product, _pack, _poly,
     _quotient, _unpack, _width,
 )
-from .config import check_degree
+from .config import cached, check_degree
 from .errors import DegreeMismatch, EmptyPartition, NegativeOrder
 from .jack import jack_table
 from .partitions import (
@@ -40,7 +39,7 @@ def _as_partition(p):
     return p if isinstance(p, Partition) else Partition(p)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _cauchy_cofactors(n):
     """An integer common denominator D of the j_gamma over gamma of n, as
     (factors, K), every cofactor D/j_gamma, an integer polynomial, and per
@@ -76,7 +75,7 @@ def _cauchy_cofactors(n):
     return common, scale, cofactors, norms
 
 
-@lru_cache(maxsize=None)
+@cached
 def _cauchy_packed(n, k):
     """The Cauchy sum over k indices of degree n, packed once: a width B,
     D/j_gamma for every gamma of n, and a dict from each mu of n to the
@@ -104,7 +103,7 @@ def _cauchy_packed(n, k):
             {mu: tuple(column) for mu, column in columns.items()})
 
 
-@lru_cache(maxsize=None)
+@cached
 def _cauchy_weights(others):
     """Per gamma of n, the packed weight D/j_gamma * prod theta_gamma(other),
     a product of packed integers, in the order of _cauchy_packed's columns.
@@ -118,7 +117,7 @@ def _cauchy_weights(others):
     return weights
 
 
-@lru_cache(maxsize=None)
+@cached
 def _cauchy_cached(lam1, others):
     """Sum every term over the common denominator D, then cancel D's factors.
 
@@ -189,7 +188,7 @@ def a_nn_recurrence(lam):
     return _a_nn(lam)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _a_nn(lam):
     if lam == Partition([1]):
         return AlphaPoly(1)
@@ -271,25 +270,21 @@ def verify_thm_rec(lam, nu):
     return lhs == rhs
 
 
-@lru_cache(maxsize=None)
-def _tower(l, n):
-    """alpha^n times the degree-n stage of the bracket tower grown from p_1/alpha.
+@cached
+def _tower_with_D(l, r, n):
+    """D applied r times to alpha^n times the degree-n stage of the bracket
+    tower grown from p_1/alpha.
 
     The factor alpha^n clears the 1/alpha of the seed and of every bracket,
     so every coefficient stays a polynomial; a_lr divides it out once.
+    a_lr fills r upward from 0, so each call with r > 0 finds stage r-1
+    cached and recurses one level at most.
     """
+    if r:
+        return apply_D(_tower_with_D(l, r - 1, n))
     if n == 1:
         return psum_unit(Partition([1]))
-    return apply_alpha_Delta(l, _tower(l, n - 1))
-
-
-@lru_cache(maxsize=None)
-def _tower_with_D(l, r, n):
-    """D applied r times to the tower stage; a_lr fills r upward from 0,
-    so each call finds stage r-1 cached and recurses one level at most."""
-    if r == 0:
-        return _tower(l, n)
-    return apply_D(_tower_with_D(l, r - 1, n))
+    return apply_alpha_Delta(l, _tower_with_D(l, 0, n - 1))
 
 
 def _readout(lam, l, r):
@@ -323,11 +318,14 @@ def generator_properties(lam, l, r):
     polynomial of degree at most (n-1)(l-1)+r whose coefficient sequence
     is (anti)palindromic around half of (l-1)(n-1)+r+len(lam)-1.  As
     z_lam times the class size is n!, it is the readout over a^(n-len(lam)).
+    Integrality holds by construction, as every AlphaPoly coefficient is
+    an int; what is checked is that the readout has no term below
+    a^(n-len(lam)).
     """
     lam, n, readout = _readout(_as_partition(lam), l, r)
     cs = readout.coeffs
     low = n - len(lam)
-    if any(cs[:low]) or any(type(c) is not int for c in cs):
+    if any(cs[:low]):
         return False
     cs = list(cs[low:])
     if len(cs) - 1 > (n - 1) * (l - 1) + r:

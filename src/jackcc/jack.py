@@ -38,14 +38,13 @@ once.  inner_product is the general pairing of any two vectors, whose
 coefficients, like every AlphaPoly's, are integers.
 """
 
-from functools import lru_cache
 from operator import mul
 
 from .algebra import (
     _addmul, _divide_int, _divide_linear, _linear_list, _pack, _poly, _unpack,
     _width,
 )
-from .config import check_degree
+from .config import cached, check_degree
 from .errors import DegenerateSystem, DegreeMismatch
 from .partitions import Partition, eigenvalue, generate_partitions, z_aut_class
 from .psum import PSumVector, _vector, transition_matrix
@@ -168,7 +167,7 @@ def _dual(row, n):
     return _vector(n, terms)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _build_table(n):
     """Every row of degree n: each self-conjugate lam and the later member
     of each conjugate pair, in generation order, by _solve_row; the
@@ -211,7 +210,7 @@ def _gram_width(table):
     return _width(sum(z_aut_class(mu)[0] * t * t for mu, t in top.items()))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _gram(n):
     """The Gram matrix of degree n, {lam: {mu: <J_lam, J_mu>}}.
 

@@ -19,12 +19,11 @@ look up the reduced rows of a higher degree.
 """
 
 from collections import Counter
-from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple
 
 from .algebra import AlphaPoly
-from .config import check_degree
+from .config import cached, check_degree
 from .errors import (
     AdjacentPair, BadMatching, BrokenInvariant, DegreeMismatch, DegreeTooLarge,
     EmptyPartition, MissingPart, NotGoodMatching, UnmatchedPair,
@@ -157,7 +156,7 @@ def build_canonical(lam):
     return _canonical(lam if isinstance(lam, Partition) else Partition(lam))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _canonical(lam):
     n = lam.n
     gray = Matching(((2 * k - 1, 2 * k) for k in range(1, n + 1)), 2 * n)
@@ -238,7 +237,7 @@ def _search(partner, gend, bend, free, out):
         bend[ba], bend[bv] = a, v
 
 
-@lru_cache(maxsize=None)
+@cached
 def _store(lam):
     """The good matchings of lam: one byte block and its parity bits.
 
@@ -253,6 +252,8 @@ def _store(lam):
     step, where the single remaining path must close into the full cycle,
     so every leaf reached is good.
     """
+    if not lam:
+        raise EmptyPartition("a good matching needs at least one box")
     if lam.n > 127:
         raise DegreeTooLarge("degree %d exceeds 127, the largest whose"
                              " matchings fit in byte rows" % lam.n)
@@ -372,7 +373,7 @@ def reduce(graph, delta, a, v):
     return build_canonical(lam2), new_delta, tag
 
 
-@lru_cache(maxsize=None)
+@cached
 def _weights(lam):
     """The weight of every good matching of lam, as bytes aligned with its rows.
 
@@ -387,10 +388,8 @@ def _weights(lam):
     One translate sends every old label of the slice to its new one, and
     each column of the reduced rows is copied from its old column by one
     extended slice, in the new-label order, giving each row's reduced row
-    in place.
+    in place; the empty partition is refused by _store.
     """
-    if not lam:
-        raise EmptyPartition("the weight statistic needs at least one box")
     if lam.n == 1:
         return b"\0"
     block = _store(lam)[0]
@@ -423,7 +422,7 @@ def _weights(lam):
     return bytes(weights)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _weight_table(lam):
     """The weight of every good matching of lam, keyed on its byte row.
 

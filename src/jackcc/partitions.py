@@ -8,11 +8,10 @@ the result without Partition's checks; any other input goes through them.
 
 import math
 from collections import Counter
-from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import AlphaPoly, _linear_list, _poly
-from .config import check_degree
+from .config import cached, check_degree
 from .errors import DegreeMismatch, MissingPart, NegativeOrder
 
 __all__ = [
@@ -97,7 +96,7 @@ def generate_partitions(n):
     return _generate_partitions(n)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _generate_partitions(n):
     out = []
 
@@ -122,7 +121,7 @@ def z_aut_class(lam):
     return _z_aut_class(lam if type(lam) is Partition else Partition(lam))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _z_aut_class(lam):
     z = 1
     aut = 1
@@ -192,7 +191,6 @@ def hooks(lam):
     return h, h2, h * h2
 
 
-@lru_cache(maxsize=None)
 def hook_factors(lam):
     """j_lam as a positive integer c times primitive integer linear factors:
     (c, factors) with j_lam = c * prod (q*a + p)^m over the items
@@ -201,7 +199,6 @@ def hook_factors(lam):
     Each box contributes (leg+1) + arm*a and leg + (arm+1)*a; c collects
     their contents, the gcds of their two coefficients (all of leg+1 when
     arm is 0).
-    The cached Counter is shared by every caller: do not modify it.
     """
     const = 1
     factors = Counter()

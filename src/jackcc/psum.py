@@ -20,13 +20,12 @@ is read.  The bracket tower's operator runs in Horner order in D.
 """
 
 import math
-from functools import lru_cache
 
 from .algebra import (
     AlphaPoly, _pack, _poly, _poly_from_json, _poly_json, _require_poly, _unpack,
     _width,
 )
-from .config import check_degree
+from .config import cached, check_degree
 from .errors import DegreeMismatch, NegativeOrder
 from .partitions import Partition, generate_partitions
 
@@ -147,7 +146,7 @@ def _replace(counter, removals, additions):
     return Partition(out)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _D_row(mu):
     """D p_mu as triples (nu, A, B) with D p_mu = sum (A*alpha + B) p_nu."""
     mult = mu.multiplicities()
@@ -258,7 +257,7 @@ def apply_alpha_Delta(l, v):
     return _unpacked(v.degree + 1, total, W)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _transition(n):
     """Rows p_mu = p_k * p_rest, k the last part of mu, read off degree n - k.
 

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import jackcc
+from caches import cold
 from jackcc import cli, config, matchings
 from jackcc.cli import Table, emit, main, run_suite
 from jackcc import errors
@@ -41,12 +42,11 @@ def test_run_suite_comb_rec_counts():
     assert "bucket counts at 2,2,1" in descs
 
 
+@cold("matchings._weight")
 def test_suites_list_no_matchings(monkeypatch):
     def listing(lam):
         raise AssertionError("a suite listed the good matchings of %s" % (lam,))
 
-    matchings._weights.cache_clear()
-    matchings._weight_table.cache_clear()
     monkeypatch.setattr(matchings, "good_matchings", listing)
     monkeypatch.setattr(cli, "good_matchings", listing, raising=False)
     for suite in ("matchings-jack", "comb-rec"):
@@ -242,14 +242,11 @@ def test_i_indep_report_shows_the_values(capsys, monkeypatch):
     code, plain = run(capsys, argv)
     assert code == 0
     bracket = jackcc.connection._bracket
-    monkeypatch.setattr(jackcc.connection, "_bracket",
-                        lambda *args: bracket(*args) * 2)
-    try:
+    # the recurrence cache is emptied after, or it would keep doubled values
+    with cold("connection._a_nn"), monkeypatch.context() as patch:
+        patch.setattr(jackcc.connection, "_bracket",
+                      lambda *args: bracket(*args) * 2)
         code, doubled = run(capsys, argv)
-    finally:
-        # a cold recurrence cache would have kept doubled values
-        monkeypatch.undo()
-        jackcc.connection._a_nn.cache_clear()
     assert code == 0
     assert json.loads(doubled)["passed"]
     assert doubled != plain
@@ -262,14 +259,10 @@ def test_thm_rec_report_shows_the_values(capsys, monkeypatch):
     code, plain = run(capsys, argv)
     assert code == 0
     cauchy = jackcc.connection._cauchy_cached
-    cauchy.cache_clear()
-    monkeypatch.setattr(jackcc.connection, "_cauchy_cached",
-                        lambda lam, others: cauchy(lam, others) * 2)
-    try:
+    with cold("connection._cauchy_cached"), monkeypatch.context() as patch:
+        patch.setattr(jackcc.connection, "_cauchy_cached",
+                      lambda lam, others: cauchy(lam, others) * 2)
         code, doubled = run(capsys, argv)
-    finally:
-        monkeypatch.undo()
-        cauchy.cache_clear()
     assert code == 0
     assert json.loads(doubled)["passed"]
     assert doubled != plain
@@ -654,6 +647,36 @@ def test_the_package_holds_no_fraction():
     done = _python("-I", "-c", probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def _cached_defs(body, prefix):
+    """The qualified names of the defs in body decorated with @cached."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = prefix + node.name
+            if any(isinstance(d, ast.Name) and d.id == "cached"
+                   for d in node.decorator_list):
+                yield name
+            inner = ".<locals>." if isinstance(node, ast.FunctionDef) else "."
+            yield from _cached_defs(node.body, name + inner)
+
+
+def test_every_cache_is_registered():
+    # config.cached is the package's one cache mechanism: no other module
+    # imports functools or names lru_cache, and the @cached definitions are
+    # exactly the entries of config.CACHES once the CLI is imported
+    trees = _package_trees()
+    found = ["%s:%d" % (module, node.lineno)
+             for module, tree in trees.items() if module != "config"
+             for node in ast.walk(tree)
+             if "functools" in _imported_roots(node)
+             or "lru_cache" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                getattr(node, "name", None))]
+    assert found == []
+    defined = {"%s.%s" % (module, name) for module, tree in trees.items()
+               for name in _cached_defs(tree.body, "")}
+    assert defined == set(config.CACHES)
+    assert len(defined) == 19
 
 
 _API_MODULES = ("algebra", "partitions", "psum", "jack", "connection",

@@ -15,6 +15,7 @@ import jackcc.jack
 import jackcc.psum
 import psum_oracle
 from algebra_oracle import reduced
+from caches import cold
 from connection_oracle import bracket as oracle_bracket
 from connection_oracle import generator_properties as oracle_generator_properties
 from connection_oracle import thm_rec_sides as oracle_thm_rec_sides
@@ -25,6 +26,7 @@ from jackcc.connection import (
     a_cauchy, a_lr, a_nn_recurrence, generator_properties, pivot_values,
     thm_rec_sides, verify_i_independence, verify_thm_rec,
 )
+from jackcc.config import CACHES
 from jackcc.errors import DegreeMismatch, EmptyPartition, NotPolynomial
 from jackcc.jack import JackTable, jack_table
 from jackcc.partitions import (
@@ -374,7 +376,7 @@ def test_thm_rec_reads_the_entries_a_cauchy_reads():
     in another order and as lists, hits the cache and adds no entry."""
     lam, nu = P([3, 2, 1]), P([2, 2, 1])
     assert verify_thm_rec(lam, nu)
-    info = jackcc.connection._cauchy_cached.cache_info
+    info = CACHES["connection._cauchy_cached"].cache_info
     before = info()
     queries = [(lam, [up_k(nu, 2), P([6])]), (lam, [up_k(nu, 1), P([6])]),
                (down_k(lam, 3), [nu, P([5])]), (down_kl(lam, 3, 1), [nu, P([5])])]
@@ -504,36 +506,19 @@ def test_cauchy_matches_per_gamma_oracle():
                 assert _equals_pair(a_cauchy(lam, others), want), (lam, others)
 
 
-def _cauchy_caches():
-    """Every cache of the Cauchy route: each connection attribute named
-    _cauchy* that has cache_clear."""
-    found = {name: getattr(jackcc.connection, name)
-             for name in dir(jackcc.connection) if name.startswith("_cauchy")}
-    return {name: fn for name, fn in found.items() if hasattr(fn, "cache_clear")}
-
-
 def test_cold_cauchy_clears_every_cauchy_cache():
-    assert {"_cauchy_cofactors", "_cauchy_packed", "_cauchy_weights",
-            "_cauchy_cached"} <= set(_cauchy_caches())
-
-
-@pytest.fixture
-def cold_cauchy():
-    """Empty the Cauchy caches before and after, so that no value computed
-    under a patch outlives the test."""
-    caches = _cauchy_caches().values()
-    for cache in caches:
-        cache.cache_clear()
-    yield
-    for cache in caches:
-        cache.cache_clear()
+    """cold("connection._cauchy") empties every cache of the Cauchy route."""
+    assert {"connection._cauchy_cofactors", "connection._cauchy_packed",
+            "connection._cauchy_weights", "connection._cauchy_cached"} == {
+        name for name in CACHES if name.startswith("connection._cauchy")}
 
 
 def _theta_norm(theta):
     return sum(map(abs, theta.coeffs))
 
 
-def test_cauchy_width_is_proven_per_degree_and_index_count(cold_cauchy):
+@cold("connection._cauchy")
+def test_cauchy_width_is_proven_per_degree_and_index_count():
     """B is the width of sum_gamma |D/j_gamma|_1 T_gamma^k, T_gamma the
     largest |theta_gamma|_1 of gamma's row, and never wider than the width
     of T^k sum_gamma |D/j_gamma|_1 for the table's largest |theta|_1 T."""
@@ -550,7 +535,8 @@ def test_cauchy_width_is_proven_per_degree_and_index_count(cold_cauchy):
             assert B <= _width(T ** k * sum(sizes.values())), (n, k)
 
 
-def test_cauchy_sum_fits_the_packing_width(cold_cauchy):
+@cold("connection._cauchy")
+def test_cauchy_sum_fits_the_packing_width():
     """For every lam1 and others, k indices in all, n <= 6 and k <= 4, the
     sum over gamma of D/j_gamma times the k characters, formed as AlphaPoly
     products, has every coefficient below 2^(B-1), and the packed sum
@@ -581,7 +567,8 @@ def test_cauchy_sum_fits_the_packing_width(cold_cauchy):
                 assert tuple(_unpack(total, B)) == want.coeffs, indices
 
 
-def test_cold_cauchy_makes_no_ring_product_and_packs_once(monkeypatch, cold_cauchy):
+@cold("connection._cauchy")
+def test_cold_cauchy_makes_no_ring_product_and_packs_once(monkeypatch):
     """A cold a_cauchy(lam, [(n), (n)]) over every lam of n <= 7 makes no
     AlphaPoly product, and packs each cofactor and each character of the
     table once for the degree, not once per weight."""
@@ -611,7 +598,7 @@ def test_cold_cauchy_makes_no_ring_product_and_packs_once(monkeypatch, cold_cauc
         assert not products, n
 
 
-def test_cauchy_skips_a_vanishing_character(monkeypatch, cold_cauchy):
+def test_cauchy_skips_a_vanishing_character(monkeypatch):
     """No character vanishes for n <= 7, so one is removed from a copy of
     the degree-4 table; a value that stops being an integer polynomial, by
     the oracle's gcd, raises NotPolynomial, and every other one is exact.
@@ -629,24 +616,24 @@ def test_cauchy_skips_a_vanishing_character(monkeypatch, cold_cauchy):
     parts = generate_partitions(4)
     refused = set()
     for rows in (vanished, raised):
-        for cache in _cauchy_caches().values():
-            cache.cache_clear()
         patched = JackTable(4, rows)
-        monkeypatch.setattr(jackcc.connection, "jack_table", lambda n: patched)
-        for lam in parts:
-            for others in ((gone,), (P([4]), gone), (gone, gone, P([2, 1, 1]))):
-                want = _per_gamma_cauchy(lam, others, patched)
-                num, den = reduced(*(p.coeffs for p in want))
-                if den != (1,) or any(c.denominator != 1 for c in num):
-                    refused.add("denominator" if den != (1,) else "rational")
-                    with pytest.raises(NotPolynomial):
-                        a_cauchy(lam, others)
-                    continue
-                assert _equals_pair(a_cauchy(lam, others), want), (lam, others)
+        with cold("connection._cauchy"), monkeypatch.context() as patch:
+            patch.setattr(jackcc.connection, "jack_table", lambda n: patched)
+            for lam in parts:
+                for others in ((gone,), (P([4]), gone), (gone, gone, P([2, 1, 1]))):
+                    want = _per_gamma_cauchy(lam, others, patched)
+                    num, den = reduced(*(p.coeffs for p in want))
+                    if den != (1,) or any(c.denominator != 1 for c in num):
+                        refused.add("denominator" if den != (1,) else "rational")
+                        with pytest.raises(NotPolynomial):
+                            a_cauchy(lam, others)
+                        continue
+                    assert _equals_pair(a_cauchy(lam, others), want), (lam, others)
     assert refused == {"denominator", "rational"}
 
 
-def test_cauchy_runs_no_euclid(cold_cauchy):
+@cold("connection._cauchy")
+def test_cauchy_runs_no_euclid():
     # the package keeps no Euclid to call: no gcd and no general division
     assert not hasattr(jackcc.algebra, "poly_gcd")
     for name in ("__divmod__", "__floordiv__", "__mod__", "__truediv__",
@@ -659,14 +646,11 @@ def test_cauchy_runs_no_euclid(cold_cauchy):
                 a_cauchy(lam, [P([n]), mu])
 
 
+@cold()
 def test_jack_tables_and_towers_build_no_rational_functions(monkeypatch):
     """Characters and tower stages are polynomials end to end: a cold
     jack_table divides no quotient, and a_lr divides one, its readout,
     through the shared quotient, even when it grows the tower."""
-    jackcc.jack._build_table.cache_clear()
-    jackcc.psum._transition.cache_clear()
-    jackcc.connection._tower.cache_clear()
-    jackcc.connection._tower_with_D.cache_clear()
     divided = []
     quotient = jackcc.connection._quotient
 

@@ -8,6 +8,7 @@ import pytest
 
 from jackcc.algebra import AlphaPoly, substitute_beta
 from jackcc.connection import a_nn_recurrence
+from jackcc.config import CACHES
 from jackcc import matchings
 from jackcc.errors import (
     AdjacentPair, BadMatching, BrokenInvariant, DegreeMismatch,
@@ -443,10 +444,10 @@ def test_degree_seven_weight_tables_are_pinned():
 def test_weight_refuses_the_empty_partition():
     with pytest.raises(EmptyPartition):
         weight((), Matching([], 0))
-    with pytest.raises(EmptyPartition):
-        weight_distribution(())
-    with pytest.raises(EmptyPartition):
-        enumerate_good(())
+    for refuses in (weight_distribution, enumerate_good, good_matchings,
+                    good_count, bipartite_count):
+        with pytest.raises(EmptyPartition):
+            refuses(())
 
 
 def test_weight_distributions():
@@ -473,12 +474,13 @@ def test_zero_weight_iff_bipartite():
 def test_broken_invariants_raise_typed_errors(monkeypatch):
     # The (2,1) graph may already be cached, so the check is run through
     # the uncached builder; nothing built under the patch is cached.
-    cached = matchings._canonical.cache_info().currsize
+    canonical = CACHES["matchings._canonical"]
+    cached = canonical.cache_info().currsize
     with monkeypatch.context() as patch:
         patch.setattr(matchings, "union_cycle_type", lambda m1, m2: P([1]))
         with pytest.raises(BrokenInvariant):
-            matchings._canonical.__wrapped__(P([2, 1]))
-    assert matchings._canonical.cache_info().currsize == cached
+            canonical.__wrapped__(P([2, 1]))
+    assert canonical.cache_info().currsize == cached
     graph = build_canonical(P([2, 1]))
     assert union_cycle_type(graph.gray, graph.black) == (2, 1)
     # Warm the weights first, so only enumerate_good reads the flipped bits.

@@ -163,7 +163,7 @@ def test_hook_degrees_and_specialization():
             h, h2, j = hooks(lam)
             assert h2.degree == n
             assert j == h * h2
-            assert j.leading > 0
+            assert j.coeffs[-1] > 0
             assert all(c >= 0 for c in h.coeffs)
             assert all(c >= 0 for c in h2.coeffs)
             hook_product = 1
