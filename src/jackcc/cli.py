@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 from .algebra import _poly_json, substitute_beta
-from .config import cached
+from .config import cached, check_degree
 from .connection import (
     a_cauchy, a_lr, a_nn_recurrence, generator_properties,
     pivot_values, thm_rec_sides,
@@ -161,122 +161,70 @@ def emit(payload, fmt, path=None):
 
 
 def _checks_matchings_jack(max_n):
-    out = []
     for n in range(1, max_n + 1):
         for lam in generate_partitions(n):
-            beta = substitute_beta(a_nn_recurrence(lam))
-            desc = "%s: %s" % (lam.to_text(), beta.to_text("b"))
-
-            def run(lam=lam, beta=beta):
-                got = weight_distribution(lam)
-                return got == beta, got.to_text("b"), beta.to_text("b")
-
-            out.append((desc, run))
-    return out
+            want = substitute_beta(a_nn_recurrence(lam))
+            got = weight_distribution(lam)
+            text = want.to_text("b")
+            yield Check("%s: %s" % (lam.to_text(), text), got == want,
+                        got.to_text("b"), text)
 
 
 def _checks_thm_rec(max_n):
-    out = []
     for m in range(2, max_n + 1):
         for lam in generate_partitions(m):
             for nu in generate_partitions(m - 1):
-                desc = "lambda %s against nu %s" % (lam.to_text(), nu.to_text())
-
-                def run(lam=lam, nu=nu):
-                    lhs, rhs = thm_rec_sides(lam, nu)
-                    return lhs == rhs, lhs.to_text(), rhs.to_text()
-
-                out.append((desc, run))
-    return out
+                lhs, rhs = thm_rec_sides(lam, nu)
+                yield Check("lambda %s against nu %s" % (lam.to_text(), nu.to_text()),
+                            lhs == rhs, lhs.to_text(), rhs.to_text())
 
 
 def _checks_i_indep(max_n):
-    out = []
     for n in range(2, max_n + 1):
         for lam in generate_partitions(n):
-            desc = "pivot choices agree on %s" % lam.to_text()
-
-            def run(lam=lam):
-                first, *others = pivot_values(lam)
-                ok = all(v == first for v in others)
-                rhs = "; ".join(v.to_text() for v in others) or "no other part"
-                return ok, first.to_text(), rhs
-
-            out.append((desc, run))
-    return out
+            first, *others = pivot_values(lam)
+            yield Check("pivot choices agree on %s" % lam.to_text(),
+                        all(v == first for v in others), first.to_text(),
+                        "; ".join(v.to_text() for v in others) or "no other part")
 
 
 def _checks_orthogonality(max_n):
-    out = []
     for n in range(1, max_n + 1):
         parts = generate_partitions(n)
         for lam in parts:
-            desc = "<J_%s, J_%s>" % (lam.to_text(), lam.to_text())
-
-            def run(lam=lam):
-                got = gram_entry(lam, lam)
-                want = hooks(lam)[2]
-                return got == want, got.to_text(), want.to_text()
-
-            out.append((desc, run))
-        desc = "off-diagonal pairings vanish at degree %d" % n
-
-        def run_off(parts=parts):
-            bad = sum(1 for i, lam in enumerate(parts) for mu in parts[i + 1:]
-                      if not gram_entry(lam, mu).is_zero)
-            return bad == 0, "%d nonzero" % bad, "0 nonzero"
-
-        out.append((desc, run_off))
-    return out
+            got, want = gram_entry(lam, lam), hooks(lam)[2]
+            yield Check("<J_%s, J_%s>" % (lam.to_text(), lam.to_text()),
+                        got == want, got.to_text(), want.to_text())
+        bad = sum(1 for i, lam in enumerate(parts) for mu in parts[i + 1:]
+                  if not gram_entry(lam, mu).is_zero)
+        yield Check("off-diagonal pairings vanish at degree %d" % n,
+                    bad == 0, "%d nonzero" % bad, "0 nonzero")
 
 
 def _checks_comb_rec(max_n):
-    out = []
     for n in range(1, max_n + 1):
         for lam in generate_partitions(n):
             poly = a_nn_recurrence(lam)
-            good_want = poly(2)
-            bip_want = poly(1)
-            desc_b = "b~(%s) = %d" % (lam.to_text(), good_want)
-            desc_c = "c(%s) = %d" % (lam.to_text(), bip_want)
-
-            def run_b(lam=lam, want=good_want):
-                got = good_count(lam)
-                return got == want, str(got), str(want)
-
-            def run_c(lam=lam, want=bip_want):
-                got = bipartite_count(lam)
-                return got == want, str(got), str(want)
-
-            out.append((desc_b, run_b))
-            out.append((desc_c, run_c))
+            for label, count, want in (("b~", good_count, poly(2)),
+                                       ("c", bipartite_count, poly(1))):
+                got = count(lam)
+                yield Check("%s(%s) = %d" % (label, lam.to_text(), want),
+                            got == want, str(got), str(want))
             if n >= 2:
-                desc_r = "bucket counts at %s" % lam.to_text()
-
-                def run_r(lam=lam):
-                    ok = all(counting_recurrence_check(lam, i)
-                             for i in range(1, len(lam) + 1))
-                    word = "split" if ok else "broken"
-                    return ok, word, word
-
-                out.append((desc_r, run_r))
-    return out
+                ok = all(counting_recurrence_check(lam, i)
+                         for i in range(1, len(lam) + 1))
+                word = "split" if ok else "broken"
+                yield Check("bucket counts at %s" % lam.to_text(), ok, word, word)
 
 
 def _checks_gen_coeff(max_n):
-    out = []
     for n in range(1, max_n + 1):
         for l in (2, 3):
             for r in (0, 1, 2):
-                desc = "degree/symmetry at n=%d, l=%d, r=%d" % (n, l, r)
-
-                def run(n=n, l=l, r=r):
-                    bad = [lam.to_text() for lam in generate_partitions(n)
-                           if not generator_properties(lam, l, r)]
-                    return not bad, ("violations: " + ",".join(bad)) if bad else "none", "none"
-
-                out.append((desc, run))
-    return out
+                bad = [lam.to_text() for lam in generate_partitions(n)
+                       if not generator_properties(lam, l, r)]
+                yield Check("degree/symmetry at n=%d, l=%d, r=%d" % (n, l, r), not bad,
+                            ("violations: " + ",".join(bad)) if bad else "none", "none")
 
 
 class _Suite(NamedTuple):
@@ -285,8 +233,8 @@ class _Suite(NamedTuple):
     low: int
 
 
-# Each suite: its check builder (max_n -> [(description, run)]), or the
-# names of the suites it runs in turn, its default degree and its lowest.
+# Each suite: its check generator (max_n -> Check, ...), or the names of
+# the suites it runs in turn, its default degree and its lowest.
 _SUITES = {
     "matchings-jack": _Suite(_checks_matchings_jack, 6, 1),
     "thm-rec": _Suite(_checks_thm_rec, 5, 2),
@@ -299,11 +247,14 @@ _SUITES = {
 
 
 def _plan(name, max_n):
-    """The (description, run) pairs of one suite; None takes each part's default."""
+    """The checks of one suite, each computed as it is drawn; None takes
+    each part's default."""
     suite = _SUITES[name]
     if isinstance(suite.checks, tuple):
-        return [item for part in suite.checks for item in _plan(part, max_n)]
-    return suite.checks(suite.default_n if max_n is None else max_n)
+        for part in suite.checks:
+            yield from _plan(part, max_n)
+    else:
+        yield from suite.checks(suite.default_n if max_n is None else max_n)
 
 
 def run_suite(name, max_n=None):
@@ -314,11 +265,12 @@ def run_suite(name, max_n=None):
     if max_n is not None and max_n < suite.low:
         raise DegreeTooSmall("suite %s starts at degree %d, --max-n %d checks nothing"
                              % (name, suite.low, max_n))
-    planned = _plan(name, max_n)
-    started = time.perf_counter()
-    checks = tuple(Check(desc, *run()) for desc, run in planned)
-    elapsed = (time.perf_counter() - started) * 1000.0
     top = suite.default_n if max_n is None else max_n
+    # the checks run degree by degree: refuse the top one before any runs
+    check_degree(top)
+    started = time.perf_counter()
+    checks = tuple(_plan(name, max_n))
+    elapsed = (time.perf_counter() - started) * 1000.0
     return VerificationReport(name, (suite.low, top), checks, elapsed)
 
 

@@ -5,7 +5,8 @@ weighting products of Jack characters by 1/j_gamma.  The recurrence route
 evaluates the one-step part-surgery recurrence for the (n),(n) case.  The
 operator route reads the coefficient off an iterated commutator tower
 applied to p_1/alpha.  Agreement of the three is the main correctness
-argument of the package and is what the verification suites exercise.
+argument of the package.  The tests and the coeff-routes benchmark
+workload compare the three; no verification suite does yet.
 
 Each public function checks its input once, before any cache; the routes
 then call each other's cached kernels on the checked values.
@@ -179,7 +180,8 @@ def a_nn_recurrence(lam):
     """The coefficient on two full cycles, by one-box part surgery.
 
     Always pivots on the largest part; the bracket value does not depend
-    on that choice and verify_i_independence checks the others.
+    on that choice, and the i-indep suite compares the others through
+    pivot_values.
     """
     lam = _as_partition(lam)
     if not lam:

@@ -511,6 +511,8 @@ def counting_recurrence_check(lam, i):
     recurrence formulas.
     """
     lam = lam if isinstance(lam, Partition) else Partition(lam)
+    if not lam:
+        raise EmptyPartition("the counting recurrences need at least one box")
     if i not in range(1, len(lam) + 1):
         raise MissingPart("pivot %r is not a part index of %s, which has"
                           " parts 1..%d" % (i, lam.to_text(), len(lam)))

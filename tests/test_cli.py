@@ -235,6 +235,56 @@ def test_i_indep_report_is_pinned(capsys, monkeypatch):
         "ede886c655e164fe71a602554f70d9cf86c1fffe96038839a0979c145aeea029")
 
 
+# sha256 of the reports that no other pin and no bench golden covers: the
+# two suites that read the operator tower, at their defaults, and one CSV.
+VERIFY_REPORT_SHA256 = {
+    ("gen-coeff", "--format", "json"):
+        "dd826391be641a72caade5cf58481cc8d342db55eec7b1b8f6ec2e352c44400a",
+    ("thm34", "--format", "json"):
+        "654fd5011a793c66f6e9aaf07c7ec18cb12eceb233fba57d448f2323af7d81cd",
+    ("comb-rec", "--max-n", "5", "--format", "csv"):
+        "4bf8df18bf2acbad07b72e2956d04c2d7545c19f6618585320225c699de17a4b",
+}
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_REPORT_SHA256))
+def test_verify_reports_are_pinned(args, capsys, monkeypatch):
+    monkeypatch.delenv("JACKCC_MAX_N", raising=False)
+    code, out = run(capsys, ["verify", "--suite", *args])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_REPORT_SHA256[args]
+
+
+# what the suites compute their checks with
+_CHECK_WORK = ("weight_distribution", "thm_rec_sides", "pivot_values",
+               "gram_entry", "good_count", "bipartite_count",
+               "counting_recurrence_check", "generator_properties")
+
+
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+def test_a_suite_above_the_bound_runs_no_check(suite, capsys, monkeypatch):
+    monkeypatch.delenv("JACKCC_MAX_N", raising=False)
+
+    def refused(*args):
+        raise AssertionError("suite %s ran a check before refusing degree 9" % suite)
+
+    for name in _CHECK_WORK:
+        monkeypatch.setattr(cli, name, refused)
+    assert main(["verify", "--suite", suite, "--max-n", "9"]) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured)
+    assert captured.err.startswith("error: degree 9 exceeds ")
+
+
+def test_suite_reports_do_not_depend_on_the_caches(monkeypatch):
+    # each suite runs on empty caches, then again on the ones it filled
+    monkeypatch.delenv("JACKCC_MAX_N", raising=False)
+    for name in cli._SUITES:
+        with cold():
+            first = run_suite(name).to_json()
+            assert run_suite(name).to_json() == first, name
+
+
 def test_i_indep_report_shows_the_values(capsys, monkeypatch):
     """Doubling every bracket keeps the pivots in agreement, but the report
     of the compared values must change with it."""

@@ -448,6 +448,8 @@ def test_weight_refuses_the_empty_partition():
                     good_count, bipartite_count):
         with pytest.raises(EmptyPartition):
             refuses(())
+    with pytest.raises(EmptyPartition):
+        counting_recurrence_check((), 1)
 
 
 def test_weight_distributions():
