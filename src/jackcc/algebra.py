@@ -29,7 +29,8 @@ the product of the others by one checked packed division, and raises
 NotPolynomial, naming the factor left over, where D does not divide.  The
 tower route divides by n! a^(n - len), the Cauchy route by the hook
 factors of its common denominator.  RatFunc, the former readout type, is
-kept as a name only: an AlphaPoly subclass that adds nothing.
+kept as a name only, an AlphaPoly subclass that adds nothing, because
+bench/workloads.py and bench/spans.py read it.
 """
 
 import math

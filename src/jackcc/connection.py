@@ -36,10 +36,6 @@ __all__ = [
 ]
 
 
-def _as_partition(p):
-    return p if isinstance(p, Partition) else Partition(p)
-
-
 @cached
 def _cauchy_cofactors(n):
     """An integer common denominator D of the j_gamma over gamma of n, as
@@ -141,8 +137,8 @@ def a_cauchy(lam1, others):
     `others` lists the remaining lower indices; the sum over gamma weights
     the product of the characters of *all* the indices, lam1 included.
     """
-    lam1 = _as_partition(lam1)
-    others = tuple(sorted((_as_partition(p) for p in others), reverse=True))
+    lam1 = Partition(lam1)
+    others = tuple(sorted((Partition(p) for p in others), reverse=True))
     if not others:
         raise DegreeMismatch("need at least two partitions in a query")
     for p in others:
@@ -183,7 +179,7 @@ def a_nn_recurrence(lam):
     on that choice, and the i-indep suite compares the others through
     pivot_values.
     """
-    lam = _as_partition(lam)
+    lam = Partition(lam)
     if not lam:
         raise EmptyPartition("the recurrence starts at the partition (1)")
     check_degree(lam.n)
@@ -206,7 +202,7 @@ def pivot_values(lam):
     The bracket takes a partition of at least two boxes; (1) is the
     recurrence's base case.
     """
-    lam = _as_partition(lam)
+    lam = Partition(lam)
     if lam.n < 2:
         raise EmptyPartition("the bracket needs two boxes, got %d" % lam.n)
     check_degree(lam.n)
@@ -219,9 +215,10 @@ def verify_i_independence(lam):
 
     The base case (1) has one pivot and no bracket, so it holds trivially;
     the empty partition, where the recurrence does not start, raises
-    EmptyPartition.
+    EmptyPartition.  No suite calls it (i-indep reads pivot_values), but
+    bench/workloads.py does.
     """
-    lam = _as_partition(lam)
+    lam = Partition(lam)
     if lam.n == 1:
         return True
     values = pivot_values(lam)
@@ -237,7 +234,7 @@ def thm_rec_sides(lam, nu):
     indices (n) and nu.  The Cauchy values are read from _cauchy_cached
     under a_cauchy's own keys.
     """
-    lam, nu = _as_partition(lam), _as_partition(nu)
+    lam, nu = Partition(lam), Partition(nu)
     if lam.n != nu.n + 1:
         raise DegreeMismatch(
             "expected weights n+1 and n, got %d and %d" % (lam.n, nu.n))
@@ -267,7 +264,8 @@ def thm_rec_sides(lam, nu):
 
 
 def verify_thm_rec(lam, nu):
-    """True when both sides of the mixed identity agree."""
+    """True when both sides of the mixed identity agree; no suite calls it
+    (thm-rec reads thm_rec_sides), but bench/workloads.py does."""
     lhs, rhs = thm_rec_sides(lam, nu)
     return lhs == rhs
 
@@ -294,7 +292,7 @@ def _readout(lam, l, r):
     for l full cycles and r near-cycles."""
     if l < 0 or r < 0:
         raise NegativeOrder("need l >= 0 and r >= 0, got l=%d, r=%d" % (l, r))
-    lam = _as_partition(lam)
+    lam = Partition(lam)
     n = lam.n
     if n == 0:
         raise EmptyPartition("the operator tower starts at degree 1")
@@ -324,7 +322,7 @@ def generator_properties(lam, l, r):
     an int; what is checked is that the readout has no term below
     a^(n-len(lam)).
     """
-    lam, n, readout = _readout(_as_partition(lam), l, r)
+    lam, n, readout = _readout(Partition(lam), l, r)
     cs = readout.coeffs
     low = n - len(lam)
     if any(cs[:low]):

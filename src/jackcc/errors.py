@@ -54,14 +54,6 @@ class BadMatching(JackccError, ValueError):
     """Pairs that do not form a fixed-point-free involution of the vertices 1..size."""
 
 
-class NotGoodMatching(JackccError, ValueError):
-    """The matching does not turn both edge colours into a single cycle."""
-
-
-class UnmatchedPair(JackccError, ValueError):
-    """Two vertices handed over as a pair of a matching are not paired by it."""
-
-
 class NegativeOrder(JackccError, ValueError):
     """A weight, a bracket depth, a power of D or another count is below zero."""
 

@@ -34,8 +34,7 @@ delta j_lam (Stanley 1989; Macdonald VI.10).  gram_entry reads a pairing
 of two rows from the Gram matrix of their degree, built once per degree:
 every theta is packed once at alpha = 2^B, one width B proven for the
 whole degree, and each pairing is one sum of big-int products, unpacked
-once.  inner_product is the general pairing of any two vectors, whose
-coefficients, like every AlphaPoly's, are integers.
+once.
 """
 
 from operator import mul
@@ -49,7 +48,7 @@ from .errors import DegenerateSystem, DegreeMismatch
 from .partitions import Partition, eigenvalue, generate_partitions, z_aut_class
 from .psum import PSumVector, _vector, transition_matrix
 
-__all__ = ["JackTable", "jack_table", "gram_entry", "inner_product"]
+__all__ = ["JackTable", "jack_table", "gram_entry"]
 
 
 def _d_on_monomials(n):
@@ -241,34 +240,9 @@ def _gram(n):
 
 def gram_entry(lam, mu):
     """<J_lam, J_mu>, read from the Gram matrix of their degree."""
-    lam = lam if type(lam) is Partition else Partition(lam)
-    mu = mu if type(mu) is Partition else Partition(mu)
+    lam, mu = Partition(lam), Partition(mu)
     if lam.n != mu.n:
         raise DegreeMismatch("partitions of %d and %d" % (lam.n, mu.n))
     check_degree(lam.n)
     return _gram(lam.n)[lam][mu]
 
-
-def inner_product(u, v):
-    """Power-sum pairing <p_lam, p_mu> = alpha^len(lam) z_lam delta.
-
-    The sum runs packed at alpha = 2^B: each shared mu adds
-    z_mu P(c) P(c') 2^(B len(mu)), P = algebra._pack, and one _unpack reads
-    the coefficients off.  No coefficient of the pairing exceeds the sum of
-    z_mu |c|_1 |c'|_1, and B is the _width of that bound.
-    """
-    if u.degree != v.degree:
-        raise DegreeMismatch("degrees %d and %d" % (u.degree, v.degree))
-    shared = []
-    bound = 0
-    for mu, c in u.terms.items():
-        other = v.terms.get(mu)
-        if other is not None:
-            z = z_aut_class(mu)[0]
-            shared.append((z, len(mu), c.coeffs, other.coeffs))
-            bound += (z * sum(map(abs, c.coeffs))
-                      * sum(map(abs, other.coeffs)))
-    B = _width(bound)
-    total = sum((z * _pack(c, B) * _pack(d, B)) << (B * l)
-                for z, l, c, d in shared)
-    return _poly(_unpack(total, B))

@@ -26,14 +26,14 @@ from .algebra import AlphaPoly
 from .config import cached, check_degree
 from .errors import (
     AdjacentPair, BadMatching, BrokenInvariant, DegreeMismatch, DegreeTooLarge,
-    EmptyPartition, MissingPart, NotGoodMatching, UnmatchedPair,
+    EmptyPartition, MissingPart,
 )
 from .partitions import Partition, down_k, down_kl, up_kl
 
 __all__ = [
     "Matching", "LambdaGraph", "WeightedMatchingSet", "MatchingEntry",
-    "build_canonical", "union_cycle_type", "is_bipartite",
-    "good_matchings", "good_count", "enumerate_good", "reduce", "weight",
+    "build_canonical", "union_cycle_type",
+    "good_matchings", "good_count", "enumerate_good",
     "weight_distribution", "bipartite_count", "counting_recurrence_check",
 ]
 
@@ -111,7 +111,8 @@ class Matching:
 
 
 def union_cycle_type(m1, m2):
-    """Half-lengths of the alternating cycles of the two matchings."""
+    """Half-lengths of the alternating cycles of the two matchings; the
+    package calls it in _canonical's self-check of each graph."""
     if m1.size != m2.size:
         raise DegreeMismatch("matchings on %d and %d vertices"
                              % (m1.size, m2.size))
@@ -133,11 +134,6 @@ def union_cycle_type(m1, m2):
     return Partition(parts)
 
 
-def is_bipartite(delta):
-    """True when every edge of delta joins an unhatted vertex to a hatted one."""
-    return all(v % 2 != delta.of(v) % 2 for v in range(1, delta.size + 1))
-
-
 class LambdaGraph(NamedTuple):
     """The two colored matchings realizing the cycles of one partition."""
 
@@ -153,7 +149,7 @@ def build_canonical(lam):
     and each partition's graph is built and checked once and then shared
     (the graph is immutable).
     """
-    return _canonical(lam if isinstance(lam, Partition) else Partition(lam))
+    return _canonical(Partition(lam))
 
 
 @cached
@@ -278,8 +274,9 @@ def _rows(block, width):
 
 
 def good_matchings(lam):
-    """All good matchings in lexicographic partner order."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    """All good matchings in lexicographic partner order; no command or
+    suite reads them, but bench/spans.py reads hit_frac off its cache_info."""
+    lam = Partition(lam)
     check_degree(lam.n)
     return tuple(map(Matching._trusted,
                      map(tuple, _rows(_store(lam)[0], 2 * lam.n + 1))))
@@ -290,7 +287,7 @@ good_matchings.cache_info = _store.cache_info
 
 def good_count(lam):
     """Number of good matchings of lam."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     check_degree(lam.n)
     return len(_store(lam)[1])
 
@@ -355,24 +352,6 @@ def _reduce_graph(graph, a, v):
     return lam2, mapping, tag
 
 
-def reduce(graph, delta, a, v):
-    """Delete the matched pair {a, v} and relabel what is left.
-
-    Gives back the smaller graph in canonical labels, the matching carried
-    along the relabeling, and the case tag of the surgery.
-    """
-    if a not in range(1, delta.size + 1):
-        raise UnmatchedPair("vertex %r is not one of 1..%d"
-                            % (a, delta.size))
-    if delta.of(a) != v:
-        raise UnmatchedPair("%s and %s are not paired by %s"
-                            % (_label_text(a), _label_text(v), delta.to_text()))
-    lam2, mapping, tag = _reduce_graph(graph, a, v)
-    new_delta = Matching(((mapping[x], mapping[y]) for x, y in delta.pairs()
-                          if a not in (x, y) and v not in (x, y)), len(mapping))
-    return build_canonical(lam2), new_delta, tag
-
-
 @cached
 def _weights(lam):
     """The weight of every good matching of lam, as bytes aligned with its rows.
@@ -384,7 +363,7 @@ def _weights(lam):
     first partner v form one contiguous slice of the block, as many rows
     long as column 1 holds v, and the surgery runs once per slice.  No
     table keyed on lam's own rows is built here; ``_weight_table`` builds
-    one only when a higher degree or ``weight`` looks rows of lam up.
+    one only when a higher degree looks rows of lam up.
     One translate sends every old label of the slice to its new one, and
     each column of the reduced rows is copied from its old column by one
     extended slice, in the new-label order, giving each row's reduced row
@@ -426,29 +405,10 @@ def _weights(lam):
 def _weight_table(lam):
     """The weight of every good matching of lam, keyed on its byte row.
 
-    Built only to look up the reduced rows of the next degree up and for
-    ``weight``; the counts and distributions read ``_weights`` directly.
+    Built only to look up the reduced rows of the next degree up; the
+    counts and distributions read ``_weights`` directly.
     """
     return dict(zip(_rows(_store(lam)[0], 2 * lam.n + 1), _weights(lam)))
-
-
-def weight(lam, delta):
-    """Count the unhatted partners met while deleting vertex 1 down to (1)."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    check_degree(lam.n)
-    if not lam:
-        raise EmptyPartition("the weight statistic needs at least one box")
-    graph = build_canonical(lam)
-    single = Partition([lam.n])
-    if (union_cycle_type(graph.gray, delta) != single
-            or union_cycle_type(graph.black, delta) != single):
-        raise NotGoodMatching("matching %s is not good for %s"
-                              % (delta.to_text(), lam.to_text()))
-    if lam.n == 1:
-        return 0
-    v = delta.of(1)
-    reduced, delta2, _ = reduce(graph, delta, 1, v)
-    return v % 2 + _weight_table(reduced.lam)[bytes(delta2.partner)]
 
 
 class MatchingEntry(NamedTuple):
@@ -472,7 +432,7 @@ def _generating_poly(weights):
 
 def enumerate_good(lam):
     """Every good matching of lam with its weight and parity."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     check_degree(lam.n)
     weights = _weights(lam)
     block, mixed = _store(lam)
@@ -487,14 +447,14 @@ def enumerate_good(lam):
 
 def weight_distribution(lam):
     """Generating polynomial of the weight statistic over good matchings."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     check_degree(lam.n)
     return _generating_poly(_weights(lam))
 
 
 def bipartite_count(lam):
     """Number of good matchings of lam whose edges all mix parities."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     check_degree(lam.n)
     return _store(lam)[1].count(1)
 
@@ -510,7 +470,7 @@ def counting_recurrence_check(lam, i):
     was parity-mixed, and the aggregated counts must reproduce both
     recurrence formulas.
     """
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
+    lam = Partition(lam)
     if not lam:
         raise EmptyPartition("the counting recurrences need at least one box")
     if i not in range(1, len(lam) + 1):

@@ -10,21 +10,24 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .algebra import AlphaPoly, _linear_list, _poly
+from .algebra import _linear_list, _poly
 from .config import cached, check_degree
-from .errors import DegreeMismatch, MissingPart, NegativeOrder
+from .errors import MissingPart, NegativeOrder
 
 __all__ = [
     "Partition", "BoxStats", "generate_partitions", "z_aut_class",
     "down_k", "up_k", "down_kl", "up_kl",
-    "hooks", "hook_factors", "eigenvalue", "theta_top", "leq_dominance",
+    "hooks", "hook_factors", "eigenvalue",
 ]
 
 
 class Partition(tuple):
-    """Weakly decreasing positive parts; () is the unique partition of 0."""
+    """Weakly decreasing positive parts; () is the unique partition of 0.
+    A Partition passed in comes back as it is, unchecked and uncopied."""
 
     def __new__(cls, parts=()):
+        if type(parts) is Partition:
+            return parts
         ps = list(parts)
         for p in ps:
             if type(p) is not int:
@@ -118,7 +121,7 @@ generate_partitions.cache_info = _generate_partitions.cache_info
 
 def z_aut_class(lam):
     """The centralizer order z, the part permutation count Aut, and the class size n!/z."""
-    return _z_aut_class(lam if type(lam) is Partition else Partition(lam))
+    return _z_aut_class(Partition(lam))
 
 
 @cached
@@ -219,28 +222,3 @@ def eigenvalue(lam):
     coleg_total = sum(i * p for i, p in enumerate(lam))
     return _poly([-coleg_total, coarm_total])
 
-
-def theta_top(lam):
-    """Product of (a*coarm - coleg) over every box except the corner one."""
-    out = AlphaPoly(1)
-    for box in Partition(lam).boxes():
-        if box.row == 1 and box.col == 1:
-            continue
-        out = out * AlphaPoly((-box.coleg, box.coarm))
-    return out
-
-
-def leq_dominance(mu, lam):
-    """Whether mu is below lam in dominance order; both must have equal weight."""
-    mu, lam = Partition(mu), Partition(lam)
-    if mu.n != lam.n:
-        raise DegreeMismatch("dominance compares partitions of the same weight, "
-                             "got %d and %d" % (mu.n, lam.n))
-    total_mu = 0
-    total_lam = 0
-    for k in range(max(len(mu), len(lam))):
-        total_mu += mu[k] if k < len(mu) else 0
-        total_lam += lam[k] if k < len(lam) else 0
-        if total_mu > total_lam:
-            return False
-    return True

@@ -31,8 +31,7 @@ from .partitions import Partition, generate_partitions
 
 __all__ = [
     "PSumVector", "psum_unit",
-    "apply_D", "apply_alpha_Delta",
-    "p_to_m", "transition_matrix",
+    "apply_D", "apply_alpha_Delta", "transition_matrix",
 ]
 
 _ZERO = AlphaPoly()
@@ -48,7 +47,7 @@ class PSumVector:
         table = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for mu, c in items:
-            mu = mu if isinstance(mu, Partition) else Partition(mu)
+            mu = Partition(mu)
             if mu.n != degree:
                 raise DegreeMismatch(
                     "key %s in a degree-%d vector" % (mu.to_text(), degree))
@@ -59,7 +58,7 @@ class PSumVector:
         self.terms = {mu: c for mu, c in table.items() if not c.is_zero}
 
     def coeff(self, mu):
-        mu = mu if isinstance(mu, Partition) else Partition(mu)
+        mu = Partition(mu)
         c = self.terms.get(mu)
         if c is not None:
             return c
@@ -134,7 +133,7 @@ def _vector(degree, terms):
 
 def psum_unit(mu):
     """The basis vector p_mu itself."""
-    mu = mu if isinstance(mu, Partition) else Partition(mu)
+    mu = Partition(mu)
     return PSumVector(mu.n, {mu: 1})
 
 
@@ -292,16 +291,3 @@ def transition_matrix(n):
     check_degree(n)
     return _transition(n)
 
-
-def p_to_m(v):
-    """The nonzero monomial coefficients of v, as a dict {lam: AlphaPoly}.
-
-    The package solves the other direction on integer lists inside the
-    Jack solver; this one is kept for the tests as an oracle.
-    """
-    matrix = transition_matrix(v.degree)
-    out = {}
-    for mu, c in v.terms.items():
-        for lam, entry in matrix[mu].items():
-            out[lam] = out.get(lam, _ZERO) + c * entry
-    return {lam: c for lam, c in out.items() if c}

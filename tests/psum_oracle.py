@@ -1,5 +1,5 @@
-"""D and the bracket tower's operator applied term by term, kept for the
-tests as independent oracles.
+"""D and the bracket tower's operator applied term by term, and the
+conversion p -> m, kept for the tests as independent oracles.
 
 The package applies D through rows cached per partition on packed
 integers, and the tower's operator in Horner order on the same packing.
@@ -7,14 +7,16 @@ apply_D below recounts every multiplicity and rebuilds every partition on
 each call and multiplies AlphaPolys; apply_alpha_Delta sums the binomial
 expansion of the bracket term by term, each summand its own chain of
 apply_D and multiply_p1 on PSumVectors.  The tests check the package's
-operators against them.
+operators against them.  The package solves the other direction, m -> p,
+on integer lists inside the Jack solver; p_to_m applies the transition
+matrix to a whole vector of AlphaPolys.
 """
 
 from math import comb
 
 from jackcc.algebra import ALPHA, AlphaPoly
 from jackcc.partitions import Partition
-from jackcc.psum import PSumVector
+from jackcc.psum import PSumVector, transition_matrix
 
 
 def _replace(mu, removals, additions):
@@ -71,3 +73,14 @@ def apply_alpha_Delta(l, v):
             term = apply_D(term)
         total = total + term.scale(comb(l, k) * (-1) ** (l - k))
     return total
+
+
+def p_to_m(v):
+    """The nonzero monomial coefficients of v, as a dict {lam: AlphaPoly}."""
+    matrix = transition_matrix(v.degree)
+    zero = AlphaPoly()
+    out = {}
+    for mu, c in v.terms.items():
+        for lam, entry in matrix[mu].items():
+            out[lam] = out.get(lam, zero) + c * entry
+    return {lam: c for lam, c in out.items() if c}

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -638,12 +639,13 @@ def test_csv_module_loads_only_for_csv_output():
 def test_input_checks_in_optimized_mode():
     probe = ("from jackcc import errors\n"
              "from jackcc.algebra import ALPHA\n"
+             "from jackcc.jack import gram_entry\n"
              "from jackcc.partitions import Partition as P, generate_partitions,"
-             " leq_dominance, up_kl\n"
+             " up_kl\n"
              "for call, kind in [(lambda: ALPHA ** -1, errors.BadExponent),\n"
              "                   (lambda: generate_partitions(-2), errors.NegativeOrder),\n"
              "                   (lambda: up_kl(P([3]), 0, 2), errors.MissingPart),\n"
-             "                   (lambda: leq_dominance(P([2]), P([1])),"
+             "                   (lambda: gram_entry((2,), (1,)),"
              " errors.DegreeMismatch)]:\n"
              "    try:\n"
              "        call()\n"
@@ -731,16 +733,31 @@ def test_every_cache_is_registered():
 
 _API_MODULES = ("algebra", "partitions", "psum", "jack", "connection",
                 "matchings", "cli")
-# kept for the tests as independent oracles, with no caller in the package
-_ORACLES = {"partitions.theta_top", "partitions.leq_dominance",
-            "matchings.is_bipartite", "matchings.weight", "psum.p_to_m"}
+_BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "bench")
+# public names that no command, suite or route runs, kept because the
+# benchmark reads them, each with the file under bench/ that does
+_BENCH_HELD = {
+    "algebra.RatFunc": "workloads.py",  # coeff-routes; spans.py wraps it too
+    "connection.verify_i_independence": "workloads.py",  # coeff-routes
+    "connection.verify_thm_rec": "workloads.py",  # coeff-routes
+    "matchings.good_matchings": "spans.py",  # hit_frac off its cache_info
+}
+
+
+def _bench_source(name):
+    with open(os.path.join(_BENCH, name), encoding="utf-8") as handle:
+        return handle.read()
 
 
 def _loads_outside_own_definition(tree, name):
-    """Whether the module reads name anywhere but in its own def or class."""
+    """Whether the module reads name anywhere but in its own def or class
+    and in the targets of attribute assignments, such as a cache_info alias."""
     for node in ast.iter_child_nodes(tree):
-        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and node.name == name):
+        if ((isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name == name)
+                or (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store))):
             continue
         if (isinstance(node, ast.Name) and node.id == name
                 and isinstance(node.ctx, ast.Load)):
@@ -773,25 +790,73 @@ def _package_trees():
 
 
 def test_every_public_name_has_a_caller():
-    # a public name must be run by the package, exported by jackcc, be the
-    # console entry point or be a named test oracle; code that only its own
-    # unit test calls does not belong in the package
+    # a public name must be run by the package, be held for the benchmark
+    # or be the console entry point; exporting it from jackcc keeps only a
+    # type or a constant.  Code that only its own unit test calls does not
+    # belong in the package: the tests keep such oracles under tests/
     trees = _package_trees()
     imported = {("%s.%s" % (node.module, alias.name))
-                for module, tree in trees.items()
+                for module, tree in trees.items() if module != "__init__"
                 for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) and node.level == 1
                 and node.module != module
                 for alias in node.names}
-    kept = imported | _ORACLES | {"cli.main"}
+    kept = imported | set(_BENCH_HELD) | {"cli.main"}
     unused = []
     for module in _API_MODULES:
         for name in getattr(jackcc, module).__all__:
+            value = getattr(getattr(jackcc, module), name)
             if ("%s.%s" % (module, name) not in kept
-                    and name not in jackcc.__all__
+                    and (name not in jackcc.__all__
+                         or isinstance(value, types.FunctionType))
                     and not _loads_outside_own_definition(trees[module], name)):
                 unused.append("%s.%s" % (module, name))
     assert unused == []
+    stale = [qualname for qualname, path in _BENCH_HELD.items()
+             if qualname.split(".")[1] not in _bench_source(path)]
+    assert stale == []
+
+
+def test_the_benchmark_reads_resolve():
+    # bench/ is only read here.  Every jackcc.X and connection.X that
+    # bench/workloads.py reads must exist, and every cache whose hit_frac
+    # bench/spans.py reports must be a public name with cache_info(), since
+    # spans wraps only the names of __all__; otherwise a removal from the
+    # package breaks the traced benchmark
+    reads = {(node.value.id, node.attr)
+             for node in ast.walk(ast.parse(_bench_source("workloads.py")))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name)
+             and node.value.id in ("jackcc", "connection")}
+    owners = {"jackcc": jackcc, "connection": jackcc.connection}
+    assert ("connection", "verify_thm_rec") in reads
+    assert [read for read in sorted(reads)
+            if not hasattr(owners[read[0]], read[1])] == []
+    cached = {node.args[0].value
+              for node in ast.walk(ast.parse(_bench_source("spans.py")))
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "hit_frac"}
+    assert cached == {"partitions.generate_partitions",
+                      "connection.a_nn_recurrence", "matchings.good_matchings"}
+    for qualname in cached:
+        module, name = qualname.split(".")
+        assert name in getattr(jackcc, module).__all__, qualname
+        assert hasattr(getattr(getattr(jackcc, module), name), "cache_info")
+
+
+def test_every_error_class_is_raised():
+    # an error class that no module raises or builds is dead code; the base
+    # JackccError is only caught
+    trees = _package_trees()
+    defined = {node.name for node in trees["errors"].body
+               if isinstance(node, ast.ClassDef)}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            target = (node.func if isinstance(node, ast.Call)
+                      else node.exc if isinstance(node, ast.Raise) else None)
+            used.add(getattr(target, "id", getattr(target, "attr", None)))
+    assert sorted(defined - used - {"JackccError"}) == []
 
 
 def test_nonpositive_part_in_optimized_mode():

@@ -12,17 +12,18 @@ from jackcc.config import CACHES
 from jackcc import matchings
 from jackcc.errors import (
     AdjacentPair, BadMatching, BrokenInvariant, DegreeMismatch,
-    EmptyPartition, MissingPart, NotGoodMatching, UnmatchedPair,
+    EmptyPartition, MissingPart,
 )
 from jackcc.matchings import (
     Matching, bipartite_count, build_canonical, counting_recurrence_check,
-    enumerate_good, good_count, good_matchings, is_bipartite, reduce,
-    union_cycle_type, weight, weight_distribution, _reduce_graph, _rows,
-    _store, _surgery, _weight_table, _weights,
+    enumerate_good, good_count, good_matchings, union_cycle_type,
+    weight_distribution, _reduce_graph, _rows, _store, _surgery,
+    _weight_table, _weights,
 )
 from jackcc.partitions import (
     Partition, down_k, down_kl, generate_partitions, up_kl,
 )
+from matchings_oracle import deletion_weight, is_bipartite, reduce
 
 P = Partition
 
@@ -51,18 +52,6 @@ def _unpruned_good(lam):
 
     grow([0] * (size + 1))
     return tuple(found)
-
-
-def _deletion_weight(lam, delta):
-    """The weight by its definition: delete vertex 1 and its partner down to (1)."""
-    graph = build_canonical(lam)
-    total = 0
-    while graph.lam != Partition([1]):
-        v = delta.of(1)
-        if v % 2 == 1:
-            total += 1
-        graph, delta, _ = reduce(graph, delta, 1, v)
-    return total
 
 
 def test_matching_basics():
@@ -294,37 +283,6 @@ def test_reduce_rejects_adjacent():
         reduce(hexagon, delta, 1, 2)
 
 
-def test_reduce_rejects_unmatched_pair():
-    hexagon = build_canonical(P([3]))
-    delta = Matching([(1, 3), (2, 5), (4, 6)])
-    with pytest.raises(UnmatchedPair):
-        reduce(hexagon, delta, 1, 4)
-    for a, v in ((7, 1), (0, 0)):
-        with pytest.raises(UnmatchedPair, match="vertex %d " % a):
-            reduce(hexagon, delta, a, v)
-
-
-def test_reduce_refuses_a_negative_vertex():
-    # A negative vertex indexes the partner lists from the end, where the
-    # cycle walk never returns, so a regression must time out in a child.
-    probe = ("from jackcc.errors import UnmatchedPair\n"
-             "from jackcc.matchings import build_canonical, good_matchings,"
-             " reduce\n"
-             "hexagon, delta = build_canonical((3,)), good_matchings((3,))[0]\n"
-             "for a, v in ((-1, 4), (-2, 2)):\n"
-             "    try:\n"
-             "        reduce(hexagon, delta, a, v)\n"
-             "    except UnmatchedPair as exc:\n"
-             "        print(exc)\n")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(matchings.__file__)))
-    done = subprocess.run([sys.executable, "-c", probe],
-                          env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == ("vertex -1 is not one of 1..6\n"
-                           "vertex -2 is not one of 1..6\n")
-
-
 def test_surgery_partitions_and_tags_are_pinned():
     # Deleting the first vertex of part k and a partner v leaves: in the
     # same cycle, an unhatted v shrinks the part (k - 1 ways) and a hatted
@@ -383,15 +341,13 @@ def test_reduce_preserves_goodness():
 
 
 def test_weight_examples():
-    assert weight(P([1]), Matching([(1, 2)])) == 0
+    assert deletion_weight(P([1]), Matching([(1, 2)])) == 0
     goods = good_matchings(P([3]))
-    weights = sorted(weight(P([3]), m) for m in goods)
+    weights = sorted(deletion_weight(P([3]), m) for m in goods)
     assert weights == [0, 1, 2, 2]
+    assert sorted(_weights(P([3]))) == weights
     for m in goods:
-        assert (weight(P([3]), m) == 0) == is_bipartite(m)
-    bad = Matching([(1, 2), (3, 4), (5, 6)])
-    with pytest.raises(NotGoodMatching):
-        weight(P([3]), bad)
+        assert (deletion_weight(P([3]), m) == 0) == is_bipartite(m)
 
 
 def test_table_weight_matches_deletion_oracle():
@@ -401,9 +357,7 @@ def test_table_weight_matches_deletion_oracle():
             goods = good_matchings(lam)
             assert len(table) == len(goods)
             for m in goods:
-                want = _deletion_weight(lam, m)
-                assert table[bytes(m.partner)] == want, (lam, m)
-                assert weight(lam, m) == want, (lam, m)
+                assert table[bytes(m.partner)] == deletion_weight(lam, m), (lam, m)
 
 
 # sha256 over a store's rows, each followed by its weight as one byte, in
@@ -442,8 +396,6 @@ def test_degree_seven_weight_tables_are_pinned():
 
 
 def test_weight_refuses_the_empty_partition():
-    with pytest.raises(EmptyPartition):
-        weight((), Matching([], 0))
     for refuses in (weight_distribution, enumerate_good, good_matchings,
                     good_count, bipartite_count):
         with pytest.raises(EmptyPartition):

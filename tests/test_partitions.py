@@ -8,12 +8,13 @@ from jackcc.algebra import ALPHA, AlphaPoly
 from jackcc.connection import a_nn_recurrence, verify_i_independence
 from jackcc.errors import DegreeMismatch, DegreeTooLarge, MissingPart, NegativeOrder
 from jackcc.matchings import (
-    bipartite_count, good_count, good_matchings, weight, weight_distribution,
+    bipartite_count, good_count, good_matchings, weight_distribution,
 )
 from jackcc.partitions import (
     Partition, down_k, down_kl, eigenvalue, generate_partitions, hook_factors,
-    hooks, leq_dominance, theta_top, up_k, up_kl, z_aut_class,
+    hooks, up_k, up_kl, z_aut_class,
 )
+from jack_oracle import leq_dominance, theta_top
 
 
 def test_constructor_sorts_and_validates():
@@ -29,6 +30,14 @@ def test_constructor_sorts_and_validates():
             Partition([part, 1])
     with pytest.raises(MissingPart, match="part 2.9 is not"):
         a_nn_recurrence((2.9, 1))
+
+
+def test_a_partition_is_returned_as_it_is():
+    # every entry point normalises its argument with one Partition call, so
+    # a Partition passes through without a copy or a check
+    lam = Partition([3, 1])
+    assert Partition(lam) is lam
+    assert Partition((1, 3)) == lam and Partition((1, 3)) is not lam
 
 
 def test_text_round_trip():
@@ -56,17 +65,16 @@ def test_generate_rejects_bad_weights(monkeypatch):
 
 @pytest.mark.parametrize("entry", [
     generate_partitions, good_matchings, good_count, weight_distribution,
-    a_nn_recurrence, bipartite_count, verify_i_independence, weight,
+    a_nn_recurrence, bipartite_count, verify_i_independence,
 ], ids=lambda fn: fn.__name__)
 def test_warm_cache_still_enforces_the_bound(entry, monkeypatch):
     monkeypatch.delenv("JACKCC_MAX_N", raising=False)
     lam = Partition([5])
-    args = {generate_partitions: (5,),
-            weight: (lam, good_matchings(lam)[-1])}.get(entry, (lam,))
-    entry(*args)
+    arg = 5 if entry is generate_partitions else lam
+    entry(arg)
     monkeypatch.setenv("JACKCC_MAX_N", "4")
     with pytest.raises(DegreeTooLarge):
-        entry(*args)
+        entry(arg)
 
 
 def test_class_sizes_partition_the_group():

@@ -10,10 +10,11 @@ from jackcc.algebra import ALPHA, AlphaPoly, RatFunc
 from jackcc.errors import DegreeMismatch, NotPolynomial
 from jackcc.partitions import Partition, generate_partitions
 from jackcc.psum import (
-    PSumVector, _D_row, _row_bound, apply_D, apply_alpha_Delta, p_to_m,
-    psum_unit, transition_matrix,
+    PSumVector, _D_row, _row_bound, apply_D, apply_alpha_Delta, psum_unit,
+    transition_matrix,
 )
-from psum_oracle import multiply_p1
+from jack_oracle import leq_dominance
+from psum_oracle import multiply_p1, p_to_m
 
 P = Partition
 
@@ -221,7 +222,6 @@ def test_transition_examples():
 
 
 def test_transition_triangularity_and_diagonal():
-    from jackcc.partitions import leq_dominance
     for n in range(1, 7):
         matrix = transition_matrix(n)
         for mu, row in matrix.items():
